@@ -117,7 +117,8 @@ func DefaultConfig() Config {
 			"lightsync": true, "transport": true,
 		},
 		PoolPairs: map[string]string{
-			"GetFloats": "PutFloats",
+			// raster's float scratch pool (Sharpness).
+			"getFloats": "putFloats",
 		},
 		HotPathFuncs: map[string]bool{
 			"Codec.extractGrid": true, "Codec.DecodeFrame": true,
@@ -130,8 +131,12 @@ func DefaultConfig() Config {
 			// recorded values never feed back into contract output.
 			"obs": true,
 		},
-		LockRoots:      map[string]bool{"serve": true},
-		GoroutineRoots: map[string]bool{"serve": true, "transport": true},
+		LockRoots: map[string]bool{"serve": true},
+		GoroutineRoots: map[string]bool{
+			"serve": true, "transport": true,
+			// The capture kernel's per-capture sensor goroutine.
+			"channel": true, "camera": true,
+		},
 		SnapshotContracts: []SnapshotContract{
 			// The serve snapshot envelope and the transport state it carries:
 			// every exported field must survive the encode/decode round-trip,

@@ -11,9 +11,11 @@
 //   - indoor/outdoor ambient  -> additive veiling light + contrast loss
 //   - sensor noise            -> additive Gaussian per channel
 //
-// The geometry stage (Warp) and the photometric stage (Photometric) are
-// split so the rolling-shutter camera model can mix two geometrically
-// warped frames row-by-row before the shared photometric pass.
+// Every capture runs through one streaming row pipeline (film.go): an
+// optical stage (geometry, LCD blend, blur) feeding a sensor stage
+// (brightness, ambient light, noise). A row plan says which frame each
+// captured row shows, so the rolling-shutter camera model mixes frames
+// row by row under one capture geometry, before the shared sensor pass.
 package channel
 
 import (
@@ -21,7 +23,6 @@ import (
 	"math"
 	"math/rand"
 
-	"rainbar/internal/colorspace"
 	"rainbar/internal/faults"
 	"rainbar/internal/geometry"
 	"rainbar/internal/obs"
@@ -243,205 +244,6 @@ func (ch *Channel) Reset() {
 	ch.captures = 0
 }
 
-// Warp applies only the geometric stage (perspective + lens distortion +
-// per-capture jitter) to a rendered frame, returning a capture-resolution
-// image on a black background. The same jitter draw is used for the whole
-// frame, as a real capture would.
-func (ch *Channel) Warp(frame *raster.Image) (*raster.Image, error) {
-	jx := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	jy := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	return ch.warpWithJitter(frame, jx, jy)
-}
-
-// WarpPair warps two frames with identical geometry (one jitter draw), as
-// needed for rolling-shutter mixing where both partial frames share the
-// capture geometry.
-func (ch *Channel) WarpPair(a, b *raster.Image) (wa, wb *raster.Image, err error) {
-	out, err := ch.WarpAll([]*raster.Image{a, b})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out[0], out[1], nil
-}
-
-// WarpAll warps any number of frames with identical geometry (a single
-// jitter draw). A rolling-shutter capture that spans several displayed
-// frames mixes their rows within one capture geometry.
-func (ch *Channel) WarpAll(frames []*raster.Image) ([]*raster.Image, error) {
-	jx := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	jy := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	out := make([]*raster.Image, len(frames))
-	for i, f := range frames {
-		w, err := ch.warpWithJitter(f, jx, jy)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-func (ch *Channel) warpWithJitter(frame *raster.Image, jx, jy float64) (*raster.Image, error) {
-	w, h := frame.W, frame.H
-	hom, err := geometry.PerspectiveView(float64(w), float64(h), ch.cfg.ViewAngleDeg, ch.cfg.scale(), jx, jy)
-	if err != nil {
-		return nil, fmt.Errorf("channel warp: %w", err)
-	}
-	inv, err := hom.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("channel warp: %w", err)
-	}
-	lens := geometry.RadialDistortion{
-		Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
-		Norm:   math.Hypot(float64(w), float64(h)) / 2,
-		K1:     ch.cfg.LensK1,
-		K2:     ch.cfg.LensK2,
-	}
-
-	// Every output pixel is an independent pure function of the input
-	// frame and the (already drawn) jitter, so rows fan out across CPUs
-	// without affecting the result.
-	out := raster.New(w, h)
-	raster.ParallelRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
-			for x := 0; x < w; x++ {
-				// Captured pixel -> ideal pinhole position (lens model) ->
-				// screen position (inverse perspective).
-				ideal := lens.Apply(geometry.Point{X: float64(x), Y: float64(y)})
-				src := inv.Apply(ideal)
-				if src.X < -1 || src.X > float64(w) || src.Y < -1 || src.Y > float64(h) {
-					continue // stays black: the dark surround of the screen
-				}
-				orow[x] = frame.Bilinear(src.X, src.Y)
-			}
-		}
-	})
-	return out, nil
-}
-
-// Photometric applies the non-geometric stage in place of a new image:
-// blur, screen brightness, ambient veiling light, and sensor noise.
-//
-// All stochastic draws come from the channel's sequential PRNG, so they are
-// made up front — in the same R,G,B scan order as a per-pixel loop would —
-// into a pooled buffer; only the pure per-pixel arithmetic then fans out
-// across rows. The output is therefore independent of GOMAXPROCS.
-func (ch *Channel) Photometric(img *raster.Image) *raster.Image {
-	if obs.Enabled(ch.Recorder) {
-		ch.Recorder.Inc(obs.MChannelPhotometric, 1)
-	}
-	out := img.GaussianBlur(ch.cfg.effectiveBlurSigma())
-	if ch.cfg.MotionBlurPx > 1 {
-		mb := out.MotionBlurHorizontal(ch.cfg.MotionBlurPx)
-		raster.Recycle(out)
-		out = mb
-	}
-	chroma, chromaBacking := ch.chromaField(out.W, out.H)
-	level, contrast := ch.cfg.Ambient.veil()
-	bright := ch.cfg.ScreenBrightness
-	n := len(out.Pix)
-	var noiseBuf []float64
-	if ch.cfg.NoiseStdDev > 0 {
-		noiseBuf = raster.GetFloats(3 * n)
-		sd := ch.cfg.NoiseStdDev
-		for i := range noiseBuf {
-			noiseBuf[i] = ch.rng.NormFloat64() * sd
-		}
-	}
-	w := out.W
-	raster.ParallelRows(out.H, func(y0, y1 int) {
-		for i := y0 * w; i < y1*w; i++ {
-			p := out.Pix[i]
-			var cr, cg, cb float64
-			if chroma[0] != nil {
-				// Chroma artifacts scale with local luminance: camera
-				// pipelines denoise shadows aggressively, so dark (structural
-				// black) regions keep far less correlated noise than lit ones.
-				luma := (0.299*float64(p.R) + 0.587*float64(p.G) + 0.114*float64(p.B)) / 255
-				gain := 0.15 + 0.85*luma
-				cr, cg, cb = chroma[0][i]*gain, chroma[1][i]*gain, chroma[2][i]*gain
-			}
-			var nr, ng, nb float64
-			if noiseBuf != nil {
-				nr, ng, nb = noiseBuf[3*i], noiseBuf[3*i+1], noiseBuf[3*i+2]
-			}
-			out.Pix[i] = colorspace.RGB{
-				R: photom(p.R, bright, contrast, level, nr+cr),
-				G: photom(p.G, bright, contrast, level, ng+cg),
-				B: photom(p.B, bright, contrast, level, nb+cb),
-			}
-		}
-	})
-	if noiseBuf != nil {
-		raster.PutFloats(noiseBuf)
-	}
-	if chromaBacking != nil {
-		raster.PutFloats(chromaBacking)
-	}
-	return out
-}
-
-// chromaField builds the spatially correlated noise planes for one
-// capture: coarse per-patch Gaussian draws, bilinearly upsampled. The three
-// planes share one pooled backing slice, returned so the caller can recycle
-// it once the planes are consumed.
-func (ch *Channel) chromaField(w, h int) ([3][]float64, []float64) {
-	var zero [3][]float64
-	if ch.cfg.ChromaNoiseStdDev <= 0 {
-		return zero, nil
-	}
-	scale := ch.cfg.ChromaNoiseScalePx
-	if scale < 2 {
-		scale = 8
-	}
-	cw, chh := w/scale+2, h/scale+2
-	var coarse [3][]float64
-	for c := 0; c < 3; c++ {
-		coarse[c] = make([]float64, cw*chh)
-		for i := range coarse[c] {
-			coarse[c][i] = ch.rng.NormFloat64() * ch.cfg.ChromaNoiseStdDev
-		}
-	}
-	n := w * h
-	backing := raster.GetFloats(3 * n)
-	var out [3][]float64
-	for c := 0; c < 3; c++ {
-		out[c] = backing[c*n : (c+1)*n]
-	}
-	// The coarse draws above consumed the PRNG; upsampling is pure, so it
-	// runs row-parallel.
-	raster.ParallelRows(h, func(ys, ye int) {
-		for y := ys; y < ye; y++ {
-			fy := float64(y) / float64(scale)
-			y0 := int(fy)
-			ty := fy - float64(y0)
-			for x := 0; x < w; x++ {
-				fx := float64(x) / float64(scale)
-				x0 := int(fx)
-				tx := fx - float64(x0)
-				for c := 0; c < 3; c++ {
-					v00 := coarse[c][y0*cw+x0]
-					v10 := coarse[c][y0*cw+x0+1]
-					v01 := coarse[c][(y0+1)*cw+x0]
-					v11 := coarse[c][(y0+1)*cw+x0+1]
-					top := v00*(1-tx) + v10*tx
-					bot := v01*(1-tx) + v11*tx
-					out[c][y*w+x] = top*(1-ty) + bot*ty
-				}
-			}
-		}
-	})
-	return out, backing
-}
-
-func (ch *Channel) noise() float64 {
-	if ch.cfg.NoiseStdDev <= 0 {
-		return 0
-	}
-	return ch.rng.NormFloat64() * ch.cfg.NoiseStdDev
-}
-
 func photom(v uint8, bright, contrast, ambient, noise float64) uint8 {
 	f := float64(v)*bright*contrast + ambient + noise
 	if f < 0 {
@@ -462,14 +264,14 @@ func (ch *Channel) Capture(frame *raster.Image) (*raster.Image, error) {
 	if obs.Enabled(ch.Recorder) {
 		ch.Recorder.Inc(obs.MChannelCaptures, 1)
 	}
-	warped, err := ch.Warp(frame)
+	rows := make([]Row, frame.H)
+	for y := range rows {
+		rows[y].B = frame
+	}
+	out, err := ch.CaptureRows(rows)
 	if err != nil {
 		return nil, err
 	}
-	out := ch.Photometric(warped)
-	// Photometric always returns a fresh image (the blur output), so the
-	// warped intermediate can go back to the pool.
-	raster.Recycle(warped)
 	idx := ch.captures
 	ch.captures++
 	if !ch.Faults.Apply(out, idx) {

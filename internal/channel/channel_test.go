@@ -210,29 +210,6 @@ func TestOutdoorRaisesFloorAndCutsContrast(t *testing.T) {
 	}
 }
 
-func TestWarpPairSharesGeometry(t *testing.T) {
-	a := raster.New(80, 45)
-	a.Fill(colorspace.RGBRed)
-	b := raster.New(80, 45)
-	b.Fill(colorspace.RGBBlue)
-	cfg := DefaultConfig()
-	cfg.JitterPx = 3 // large jitter would misalign if drawn twice
-	ch := MustNew(cfg)
-	wa, wb, err := ch.WarpPair(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wherever one warped frame is lit, the other must be lit too (same
-	// geometric footprint).
-	for i := range wa.Pix {
-		la := wa.Pix[i] != colorspace.RGBBlack
-		lb := wb.Pix[i] != colorspace.RGBBlack
-		if la != lb {
-			t.Fatal("warped pair has mismatched footprints")
-		}
-	}
-}
-
 func TestCaptureKeepsResolution(t *testing.T) {
 	frame := testFrame()
 	got, err := MustNew(DefaultConfig()).Capture(frame)
@@ -259,9 +236,10 @@ func TestAmbientString(t *testing.T) {
 }
 
 func TestForwardMapMatchesWarp(t *testing.T) {
-	// The exact forward map must agree with where Warp actually puts
-	// screen content: paint a single bright block, warp, and check the
-	// mapped center lands inside the bright region.
+	// The exact forward map must agree with where the capture warp
+	// actually puts screen content: paint a single bright block, capture
+	// it without blur or noise, and check the mapped center lands inside
+	// the bright region.
 	cfg := DefaultConfig()
 	cfg.ViewAngleDeg = 18
 	cfg.JitterPx = 0
@@ -271,7 +249,7 @@ func TestForwardMapMatchesWarp(t *testing.T) {
 
 	frame := raster.New(320, 180)
 	frame.FillRect(200, 90, 12, 12, colorspace.RGBWhite)
-	warped, err := ch.Warp(frame)
+	warped, err := ch.Capture(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 // jobs therefore commute, and a table built from indexed result slots in
 // sweep order is bit-identical no matter how many workers computed them.
 //
-// This is the same determinism contract parallelRows uses inside raster —
-// parallelism only ever reorders wall-clock execution, never any arithmetic.
+// This is the same determinism contract the channel's two-stage capture
+// kernel keeps — parallelism only ever reorders wall-clock execution, never
+// any arithmetic.
 
 // workers resolves Options.Workers: 0 means one worker per CPU.
 func (o Options) workers() int {

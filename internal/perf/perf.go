@@ -8,8 +8,9 @@
 // (ClassifyRGB/ClassifyRGBSoft/ToHSV), sampling (MeanFilterAt, Sharpness),
 // the per-capture pipeline (FixImage, DecodeGrid, DecodeFrame,
 // AssemblePayload) and the receiver loop (fresh-receiver and steady-state
-// variants, plus the batched ingest). Snapshots from different hosts are
-// not comparable — the header records CPU count and git revision so a
+// variants, plus the batched ingest). The camera_film kernels time the
+// simulated link a transfer films through. Snapshots from different hosts
+// are not comparable — the header records CPU count and git revision so a
 // reader can tell.
 package perf
 
@@ -24,11 +25,13 @@ import (
 	"strings"
 	"testing"
 
+	"rainbar/internal/camera"
 	"rainbar/internal/channel"
 	"rainbar/internal/colorspace"
 	"rainbar/internal/core"
 	"rainbar/internal/core/layout"
 	"rainbar/internal/raster"
+	"rainbar/internal/screen"
 )
 
 // Schema identifies the snapshot layout; bump when fields change meaning.
@@ -178,6 +181,7 @@ var classifySamples = []colorspace.RGB{
 }
 
 var (
+	sinkCaps  []camera.Capture
 	sinkColor colorspace.Color
 	sinkFloat float64
 	sinkHSV   colorspace.HSV
@@ -239,6 +243,52 @@ func perfBatch(c *core.Codec) ([]*raster.Image, error) {
 		}
 	}
 	return caps, nil
+}
+
+// filmKernel films four rendered 640x360 frames (12 px blocks, the
+// transfer benchmark's geometry) shown at 10 fps with the default LCD
+// transition through the default camera, with the default channel at the
+// given distance: about 13 captures, some straddling a frame switch.
+// At 12 cm a dark surround frames the screen; at 6 cm the screen fills the
+// capture, so fewer blur windows are one colour.
+func filmKernel(distanceCM float64) func() (func(*testing.B), error) {
+	return func() (func(*testing.B), error) {
+		g, err := layout.NewGeometry(640, 360, 12)
+		if err != nil {
+			return nil, err
+		}
+		c, err := core.NewCodec(core.Config{Geometry: g, DisplayRate: 10, AppType: 1})
+		if err != nil {
+			return nil, err
+		}
+		frames := make([]*raster.Image, 4)
+		for i := range frames {
+			f, err := c.EncodeFrame(perfPayload(c, int64(i)), uint16(i), i == len(frames)-1)
+			if err != nil {
+				return nil, err
+			}
+			frames[i] = f.Render()
+		}
+		d, err := screen.NewDisplay(frames, 10, 0)
+		if err != nil {
+			return nil, err
+		}
+		d.Transition = screen.DefaultTransition
+		cfg := channel.DefaultConfig()
+		cfg.DistanceCM = distanceCM
+		cam := camera.Default()
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ch, err := channel.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sinkCaps, err = cam.Film(d, ch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}, nil
+	}
 }
 
 var kernels = []kernel{
@@ -431,4 +481,6 @@ var kernels = []kernel{
 			}
 		}, nil
 	}},
+	{"camera_film", filmKernel(channel.ReferenceDistanceCM)},
+	{"camera_film_close", filmKernel(6)},
 }

@@ -22,22 +22,6 @@ func benchImage() *Image {
 	return img
 }
 
-func BenchmarkGaussianBlur(b *testing.B) {
-	img := benchImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		img.GaussianBlur(0.8)
-	}
-}
-
-func BenchmarkMotionBlurHorizontal(b *testing.B) {
-	img := benchImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		img.MotionBlurHorizontal(5)
-	}
-}
-
 func BenchmarkSharpness(b *testing.B) {
 	img := benchImage()
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Package raster provides the pure-Go image substrate RainBar runs on: a
 // packed RGB frame buffer with block drawing for the encoder and the
-// sampling/filtering primitives the decoder needs (3x3 mean filter,
-// Gaussian blur, bilinear sampling, gradient sharpness for blur
+// sampling/filtering primitives the decoder and the channel simulator
+// need (3x3 mean filter, bilinear sampling, gradient sharpness for blur
 // assessment). It replaces the OpenCV-style dependencies the original
 // smartphone implementation would have used.
 package raster
@@ -19,44 +19,10 @@ import (
 	"rainbar/internal/colorspace"
 )
 
-// parallelRows splits the row range [0, h) into contiguous bands, one per
-// available CPU, and runs fn on each band concurrently. fn must only read
-// shared inputs and write rows inside its own band; because every output
-// row is computed independently, results are identical for any worker
-// count. With a single CPU (or a single row) it degenerates to a plain
-// call, so the serial path pays no synchronization cost.
-func parallelRows(h int, fn func(y0, y1 int)) {
-	workers := min(runtime.GOMAXPROCS(0), h)
-	if workers <= 1 {
-		fn(0, h)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		y0, y1 := w*h/workers, (w+1)*h/workers
-		if y0 == y1 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(y0, y1)
-		}()
-	}
-	wg.Wait()
-}
-
-// ParallelRows exposes the row-band scheduler to sibling packages (the
-// channel simulator fans its per-pixel stages out with it). The contract is
-// parallelRows': fn must write only rows inside its own band and compute
-// each row independently of the others.
-func ParallelRows(h int, fn func(y0, y1 int)) { parallelRows(h, fn) }
-
-// RowTask is the typed-job counterpart of the ParallelRows callback: a
-// value whose RunRows processes the contiguous row band [y0, y1). Hot-path
-// code implements RowTask on a pooled struct instead of capturing state in
-// a closure — a closure handed to ParallelRows escapes to the heap on
-// every call, even on a single-CPU host where the band runs inline.
+// RowTask is a value whose RunRows processes the contiguous row band
+// [y0, y1). Hot-path code implements RowTask on a pooled struct instead of
+// capturing state in a closure, which would escape to the heap on every
+// call, even on a single-CPU host where the band runs inline.
 type RowTask interface {
 	RunRows(y0, y1 int)
 }
@@ -97,12 +63,12 @@ func startBandWorkers() {
 
 // ParallelRowTasks splits [0, h) into contiguous bands, one per available
 // CPU, and runs t.RunRows on each band concurrently via a persistent
-// worker pool — no goroutine spawn and no allocation per call. The data
-// contract is ParallelRows': RunRows must write only rows inside its own
-// band and compute each row independently, so results are identical for
-// any worker count. RunRows must not itself call ParallelRowTasks (the
-// shared workers would deadlock). With a single CPU (or a single row) the
-// whole range runs inline on the caller's goroutine.
+// worker pool — no goroutine spawn and no allocation per call. RunRows
+// must write only rows inside its own band and compute each row
+// independently, so results are identical for any worker count. RunRows
+// must not itself call ParallelRowTasks (the shared workers would
+// deadlock). With a single CPU (or a single row) the whole range runs
+// inline on the caller's goroutine.
 func ParallelRowTasks(h int, t RowTask) {
 	workers := min(runtime.GOMAXPROCS(0), h)
 	if workers <= 1 {
@@ -127,19 +93,13 @@ func ParallelRowTasks(h int, t RowTask) {
 	wgPool.Put(wg)
 }
 
-// GetFloats returns a pooled scratch slice of length n with undefined
-// contents; callers must overwrite every element they read. Pair with
-// PutFloats when the scratch is no longer referenced.
-func GetFloats(n int) []float64 { return getFloats(n) }
-
-// PutFloats returns a slice obtained from GetFloats to the pool.
-func PutFloats(b []float64) { putFloats(b) }
-
-// floatPool recycles the blur scratch planes. A 640x360 capture needs
-// ~5.5 MB of float scratch; without the pool that much garbage is created
-// per simulated capture. boxPool recycles the *[]float64 headers the pool
-// stores, so a get/put round trip is allocation-free after warmup — the
-// naive floatPool.Put(&b) would heap-allocate a fresh header every call.
+// floatPool recycles Sharpness's float scratch (per-row sums and luma
+// rows), keeping it allocation-free in steady state. getFloats returns a
+// slice of length n with undefined contents: callers overwrite every
+// element they read, and pair it with putFloats. boxPool recycles the
+// *[]float64 headers the pool stores, so a get/put round trip is
+// allocation-free after warmup — the naive floatPool.Put(&b) would
+// heap-allocate a fresh header every call.
 var (
 	floatPool sync.Pool
 	boxPool   sync.Pool
@@ -172,8 +132,8 @@ func putFloats(b []float64) {
 var imagePool sync.Pool
 
 // newUncleared returns a w x h image whose pixels are NOT initialized.
-// Only producers that overwrite every pixel (blur passes, rotation) may
-// use it; everything else goes through New.
+// Only producers that overwrite every pixel (clone, rotation) may use it;
+// everything else goes through New.
 func newUncleared(w, h int) *Image {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("raster: invalid dimensions %dx%d", w, h))
@@ -287,6 +247,12 @@ func (img *Image) Bilinear(x, y float64) colorspace.RGB {
 		i := y0*img.W + x0
 		c00, c10 = img.Pix[i], img.Pix[i+1]
 		c01, c11 = img.Pix[i+img.W], img.Pix[i+img.W+1]
+		if c00 == c10 && c00 == c01 && c00 == c11 {
+			// Four equal corners interpolate to within a few ulps of
+			// their own value, which the rounding below (or the clamp at
+			// 0 and 255) maps back exactly.
+			return c00
+		}
 	} else {
 		c00 = img.At(x0, y0)
 		c10 = img.At(x0+1, y0)
@@ -351,202 +317,6 @@ func (img *Image) MeanFilterAt(x, y int) colorspace.RGB {
 		G: uint8((g + n/2) / n),
 		B: uint8((b + n/2) / n),
 	}
-}
-
-// GaussianBlur returns a blurred copy of img using a separable Gaussian
-// kernel with the given standard deviation (in pixels). sigma <= 0 returns
-// an unmodified clone.
-func (img *Image) GaussianBlur(sigma float64) *Image {
-	if sigma <= 0 {
-		return img.Clone()
-	}
-	kernel := gaussianKernel(sigma)
-	half := len(kernel) / 2
-
-	// Interior pixels see the whole kernel, so their weight sum is the
-	// same everywhere; accumulate it once in kernel-index order — the same
-	// order the per-pixel loop uses — to keep the division bit-identical
-	// to summing it per pixel.
-	var ksum float64
-	for _, kv := range kernel {
-		ksum += kv
-	}
-
-	// Horizontal pass into pooled float planes, then vertical pass. Both
-	// passes run row-parallel: every output pixel is computed independently
-	// and in the same operation order as the serial loop, so the result
-	// does not depend on the worker count.
-	w, h := img.W, img.H
-	n := w * h
-	scratch := getFloats(3 * n)
-	tmpR := scratch[0*n : 1*n]
-	tmpG := scratch[1*n : 2*n]
-	tmpB := scratch[2*n : 3*n]
-	// Columns [lo, hi) have the whole kernel in bounds horizontally.
-	lo := min(half, w)
-	hi := max(w-half, lo)
-	parallelRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			base := y * w
-			row := img.Pix[base : base+w : base+w]
-			edge := func(x int) {
-				var r, g, b, wsum float64
-				for k, kv := range kernel {
-					sx := x + k - half
-					if sx < 0 || sx >= w {
-						continue
-					}
-					p := row[sx]
-					r += kv * float64(p.R)
-					g += kv * float64(p.G)
-					b += kv * float64(p.B)
-					wsum += kv
-				}
-				tmpR[base+x] = r / wsum
-				tmpG[base+x] = g / wsum
-				tmpB[base+x] = b / wsum
-			}
-			for x := 0; x < lo; x++ {
-				edge(x)
-			}
-			for x := hi; x < w; x++ {
-				edge(x)
-			}
-			for x := lo; x < hi; x++ {
-				var r, g, b float64
-				for k, kv := range kernel {
-					p := row[x+k-half]
-					r += kv * float64(p.R)
-					g += kv * float64(p.G)
-					b += kv * float64(p.B)
-				}
-				tmpR[base+x] = r / ksum
-				tmpG[base+x] = g / ksum
-				tmpB[base+x] = b / ksum
-			}
-		}
-	})
-	out := newUncleared(w, h)
-	parallelRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			base := y * w
-			if y >= half && y < h-half {
-				// Interior rows: the whole kernel is in bounds vertically.
-				for x := 0; x < w; x++ {
-					var r, g, b float64
-					for k, kv := range kernel {
-						i := (y+k-half)*w + x
-						r += kv * tmpR[i]
-						g += kv * tmpG[i]
-						b += kv * tmpB[i]
-					}
-					out.Pix[base+x] = colorspace.RGB{
-						R: clampRound(r / ksum),
-						G: clampRound(g / ksum),
-						B: clampRound(b / ksum),
-					}
-				}
-				continue
-			}
-			for x := 0; x < w; x++ {
-				var r, g, b, wsum float64
-				for k, kv := range kernel {
-					sy := y + k - half
-					if sy < 0 || sy >= h {
-						continue
-					}
-					i := sy*w + x
-					r += kv * tmpR[i]
-					g += kv * tmpG[i]
-					b += kv * tmpB[i]
-					wsum += kv
-				}
-				out.Pix[base+x] = colorspace.RGB{
-					R: clampRound(r / wsum),
-					G: clampRound(g / wsum),
-					B: clampRound(b / wsum),
-				}
-			}
-		}
-	})
-	putFloats(scratch)
-	return out
-}
-
-// MotionBlurHorizontal returns a copy blurred by a horizontal box kernel of
-// the given length (in pixels), modeling handshake during exposure.
-// Lengths <= 1 return an unmodified clone.
-func (img *Image) MotionBlurHorizontal(length int) *Image {
-	if length <= 1 {
-		return img.Clone()
-	}
-	out := newUncleared(img.W, img.H)
-	half := length / 2
-	w := img.W
-	// Sliding-window box sums make each row O(W) instead of O(W·length);
-	// integer arithmetic keeps the result identical to the naive kernel.
-	parallelRows(img.H, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			row := img.Pix[y*w : (y+1)*w : (y+1)*w]
-			orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
-			var r, g, b, n int
-			for sx := 0; sx <= half && sx < w; sx++ {
-				p := row[sx]
-				r += int(p.R)
-				g += int(p.G)
-				b += int(p.B)
-				n++
-			}
-			for x := 0; x < w; x++ {
-				orow[x] = colorspace.RGB{
-					R: uint8(r / n), G: uint8(g / n), B: uint8(b / n),
-				}
-				if sx := x - half; sx >= 0 {
-					p := row[sx]
-					r -= int(p.R)
-					g -= int(p.G)
-					b -= int(p.B)
-					n--
-				}
-				if sx := x + half + 1; sx < w {
-					p := row[sx]
-					r += int(p.R)
-					g += int(p.G)
-					b += int(p.B)
-					n++
-				}
-			}
-		}
-	})
-	return out
-}
-
-func gaussianKernel(sigma float64) []float64 {
-	radius := int(3*sigma + 0.5)
-	if radius < 1 {
-		radius = 1
-	}
-	kernel := make([]float64, 2*radius+1)
-	var sum float64
-	for i := range kernel {
-		d := float64(i - radius)
-		kernel[i] = math.Exp(-d * d / (2 * sigma * sigma))
-		sum += kernel[i]
-	}
-	for i := range kernel {
-		kernel[i] /= sum
-	}
-	return kernel
-}
-
-func clampRound(v float64) uint8 {
-	if v <= 0 {
-		return 0
-	}
-	if v >= 255 {
-		return 255
-	}
-	return uint8(v + 0.5)
 }
 
 // Sharpness returns a scalar focus metric: the mean squared horizontal and

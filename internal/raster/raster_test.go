@@ -3,6 +3,7 @@ package raster
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime/debug"
 	"testing"
@@ -110,61 +111,6 @@ func TestMeanFilterSuppressesSaltNoise(t *testing.T) {
 	}
 }
 
-func TestGaussianBlurPreservesUniform(t *testing.T) {
-	img := New(8, 8)
-	img.Fill(colorspace.RGB{R: 90, G: 90, B: 90})
-	out := img.GaussianBlur(1.5)
-	for i, p := range out.Pix {
-		if p.R < 89 || p.R > 91 {
-			t.Fatalf("pixel %d = %v after blur of uniform image", i, p)
-		}
-	}
-}
-
-func TestGaussianBlurZeroSigmaIsIdentity(t *testing.T) {
-	img := New(4, 4)
-	img.Set(1, 2, colorspace.RGBRed)
-	out := img.GaussianBlur(0)
-	if !bytes.Equal(flatten(img), flatten(out)) {
-		t.Fatal("sigma=0 blur changed pixels")
-	}
-}
-
-func TestGaussianBlurSpreadsEdge(t *testing.T) {
-	img := New(20, 1)
-	for x := 10; x < 20; x++ {
-		img.Set(x, 0, colorspace.RGBWhite)
-	}
-	out := img.GaussianBlur(2)
-	// The step at x=10 must become a monotone ramp.
-	prev := -1
-	for x := 5; x < 15; x++ {
-		v := int(out.At(x, 0).R)
-		if v < prev {
-			t.Fatalf("blurred edge not monotone at x=%d: %d < %d", x, v, prev)
-		}
-		prev = v
-	}
-	if out.At(9, 0).R == 0 || out.At(10, 0).R == 255 {
-		t.Error("blur did not spread the edge")
-	}
-}
-
-func TestMotionBlurHorizontal(t *testing.T) {
-	img := New(9, 1)
-	img.Set(4, 0, colorspace.RGB{R: 90, G: 90, B: 90})
-	out := img.MotionBlurHorizontal(3)
-	if out.At(4, 0).R != 30 {
-		t.Errorf("center = %d, want 30", out.At(4, 0).R)
-	}
-	if out.At(3, 0).R != 30 || out.At(5, 0).R != 30 {
-		t.Error("motion blur did not spread to neighbors")
-	}
-	if out.At(2, 0).R != 0 {
-		t.Error("motion blur spread too far")
-	}
-}
-
 func TestSharpnessOrdersBlurLevels(t *testing.T) {
 	// A checkerboard is the sharpest thing we can draw; blurring must
 	// strictly reduce the sharpness metric.
@@ -176,9 +122,19 @@ func TestSharpnessOrdersBlurLevels(t *testing.T) {
 			}
 		}
 	}
+	// Each 3x3 mean-filter pass blurs further.
+	meanBlur := func(img *Image) *Image {
+		out := New(img.W, img.H)
+		for y := 0; y < img.H; y++ {
+			for x := 0; x < img.W; x++ {
+				out.Set(x, y, img.MeanFilterAt(x, y))
+			}
+		}
+		return out
+	}
 	s0 := img.Sharpness()
-	s1 := img.GaussianBlur(1).Sharpness()
-	s2 := img.GaussianBlur(3).Sharpness()
+	s1 := meanBlur(img).Sharpness()
+	s2 := meanBlur(meanBlur(meanBlur(img))).Sharpness()
 	if !(s0 > s1 && s1 > s2) {
 		t.Fatalf("sharpness not monotone in blur: %v, %v, %v", s0, s1, s2)
 	}
@@ -337,6 +293,58 @@ func TestBilinearWithinPixelRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bilinearRef is Bilinear without the equal-corner shortcut: the full
+// interpolation of every sample.
+func bilinearRef(img *Image, x, y float64) colorspace.RGB {
+	x0 := int(math.Floor(x))
+	y0 := int(math.Floor(y))
+	fx := x - float64(x0)
+	fy := y - float64(y0)
+	c00 := img.At(x0, y0)
+	c10 := img.At(x0+1, y0)
+	c01 := img.At(x0, y0+1)
+	c11 := img.At(x0+1, y0+1)
+	lerp2 := func(a, b, c, d uint8) uint8 {
+		top := float64(a)*(1-fx) + float64(b)*fx
+		bot := float64(c)*(1-fx) + float64(d)*fx
+		v := top*(1-fy) + bot*fy
+		if v < 0 {
+			return 0
+		}
+		if v > 255 {
+			return 255
+		}
+		return uint8(v + 0.5)
+	}
+	return colorspace.RGB{
+		R: lerp2(c00.R, c10.R, c01.R, c11.R),
+		G: lerp2(c00.G, c10.G, c01.G, c11.G),
+		B: lerp2(c00.B, c10.B, c01.B, c11.B),
+	}
+}
+
+// TestBilinearMatchesReference: the equal-corner shortcut returns exactly
+// what the full interpolation computes, for every channel value and for
+// fractional positions anywhere in and around the image.
+func TestBilinearMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	img := New(16, 16)
+	for v := 0; v < 256; v++ {
+		// Mostly one colour, so most samples take the shortcut; a few
+		// distinct pixels keep the full path in play.
+		img.Fill(colorspace.RGB{R: uint8(v), G: uint8(255 - v), B: uint8(v * 7)})
+		for i := 0; i < 3; i++ {
+			img.Pix[rng.Intn(len(img.Pix))] = colorspace.RGB{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256))}
+		}
+		for i := 0; i < 400; i++ {
+			x, y := rng.Float64()*18-1, rng.Float64()*18-1
+			if got, want := img.Bilinear(x, y), bilinearRef(img, x, y); got != want {
+				t.Fatalf("Bilinear(%v, %v) = %v, full interpolation %v", x, y, got, want)
+			}
+		}
 	}
 }
 

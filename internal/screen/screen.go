@@ -31,10 +31,22 @@ type Display struct {
 }
 
 // NewDisplay creates a display timeline. rateFPS must be positive and
-// frames non-empty.
+// frames non-empty, and every frame a complete image of one shared size:
+// the panel has one resolution, and a camera films every frame through
+// one capture geometry.
 func NewDisplay(frames []*raster.Image, rateFPS float64, start time.Duration) (*Display, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("screen: no frames to display")
+	}
+	for i, f := range frames {
+		switch {
+		case f == nil:
+			return nil, fmt.Errorf("screen: frame %d is nil", i)
+		case f.W <= 0 || f.H <= 0 || len(f.Pix) != f.W*f.H:
+			return nil, fmt.Errorf("screen: frame %d is a malformed %dx%d image of %d pixels", i, f.W, f.H, len(f.Pix))
+		case f.W != frames[0].W || f.H != frames[0].H:
+			return nil, fmt.Errorf("screen: frame %d is %dx%d, frame 0 is %dx%d", i, f.W, f.H, frames[0].W, frames[0].H)
+		}
 	}
 	if rateFPS <= 0 {
 		return nil, fmt.Errorf("screen: display rate %.2f fps must be positive", rateFPS)

@@ -27,6 +27,23 @@ func TestNewDisplayValidation(t *testing.T) {
 	}
 }
 
+func TestNewDisplayRejectsMismatchedFrames(t *testing.T) {
+	// Every frame must be a complete image of the panel's one size: a
+	// camera films all of them through one capture geometry.
+	cases := map[string][]*raster.Image{
+		"different sizes": {raster.New(64, 64), raster.New(32, 32)},
+		"different width": {raster.New(64, 64), raster.New(64, 64), raster.New(63, 64)},
+		"nil frame":       {raster.New(4, 4), nil},
+		"empty image":     {{}},
+		"short buffer":    {{W: 4, H: 4, Pix: raster.New(4, 3).Pix}},
+	}
+	for name, fs := range cases {
+		if _, err := NewDisplay(fs, 10, 0); err == nil {
+			t.Errorf("%s: display accepted", name)
+		}
+	}
+}
+
 func TestFrameAt(t *testing.T) {
 	d, err := NewDisplay(frames(3), 10, 0) // 100ms per frame
 	if err != nil {

@@ -134,6 +134,14 @@ func Recover(dir string, opts journal.Options, cfg Config) (*Server, *RecoverRep
 		if rec.Kind == journal.KindTerminal {
 			continue // the id high-water record; nothing to run
 		}
+		if len(rep.Sessions) >= s.cfg.MaxSessions {
+			// Capacity is counted against the journaled fleet, not the
+			// sessions still active: recovered sessions run as soon as
+			// they are admitted, and one that finishes early must not
+			// make room for another, or the report would vary by run.
+			rep.Skipped++
+			continue
+		}
 		id, err := s.readmit(rec)
 		if err != nil {
 			// One damaged session must not take the rest of the fleet

@@ -4,9 +4,11 @@
 # under the race detector, a metrics smoke run, then a short fuzz smoke
 # pass. The lint gate fails the build on any determinism /
 # error-discipline / observability / concurrency contract breach; the
-# race step protects the parallel experiment engine, the row-parallel
-# raster kernels and the sharded metrics recorder; the metrics smoke
-# proves rainbar-bench can instrument a sweep end to end; the recovery
+# race step protects the parallel experiment engine, the two-stage
+# capture kernel and the sharded metrics recorder; the capture-identity
+# gate holds that kernel byte-identical to its whole-frame reference at
+# every CPU count; the metrics smoke proves rainbar-bench can
+# instrument a sweep end to end; the recovery
 # smoke proves the decode-recovery ablation runs under the full ladder
 # with cross-round combining; the allocation gate holds the steady-state
 # receiver at 0 allocs/op (the DESIGN.md §11 hot-path memory contract);
@@ -66,6 +68,13 @@ grep -q '"p99_round_seconds"' /tmp/rainbar-serve-smoke.json
 # crash recovery.
 go test -race -run 'TestChaos' ./internal/serve/chaos
 go test -race -run TestCrashMatrixBitIdentical ./internal/serve
+
+# Capture-identity gate: the streaming two-stage capture kernel
+# (internal/channel/film.go) must match the whole-frame reference pipeline
+# byte for byte, and leave the PRNG where the reference does, at 1 and 2
+# CPUs and under the race detector (its sensor stage runs on a helper
+# goroutine).
+go test -race -cpu 1,2 -run 'TestFilmMatchesReference' ./internal/channel
 
 # Allocation gate: the steady-state receiver benchmark must report
 # 0 allocs/op (TestReceiverSteadyStateAllocFree enforces the same
