@@ -45,8 +45,8 @@ func (c *Codec) detectCTs(img *raster.Image) (tl, tr, bl, br geometry.Point, err
 		err = fmt.Errorf("cobra: capture %dx%d too small", img.W, img.H)
 		return
 	}
-	classMap, mw, mh := vision.ClassifyMap(img, cl, ds)
-	blobs := vision.BlackBlobs(classMap, mw, mh)
+	var bs vision.BlobScratch
+	blobs, mw, mh := bs.BlackBlobs(img, cl, ds)
 
 	type cand struct {
 		p     geometry.Point

@@ -5,7 +5,10 @@
 // adaptive value threshold T_v = μ·V_b + (1-μ)·V_o with μ = 0.55 (Eq. 2).
 package colorspace
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Color is one of the five colors a RainBar block can take. Data blocks use
 // White/Red/Green/Blue (2 bits each); Black is structural (corner-tracker
@@ -223,6 +226,21 @@ func (cl Classifier) Classify(p HSV) Color {
 	default:
 		return Red
 	}
+}
+
+// BlackLimit returns the number of channel levels k whose value k/255 lies
+// below T_v, so that ClassifyRGB(p) == Black exactly when
+// p.Below(BlackLimit()), that is when max(p.R, p.G, p.B) < BlackLimit().
+// The levels are increasing, so the black ones are the prefix
+// 0..limit-1: the limit is 0 for T_v <= 0 or NaN and 256 for T_v > 1.
+// Scans that only separate black from non-black test one integer per
+// pixel against it instead of classifying.
+func (cl Classifier) BlackLimit() int {
+	tv := cl.TV
+	if tv == 0 {
+		tv = DefaultTV
+	}
+	return sort.Search(len(u8f), func(k int) bool { return !(u8f[k] < tv) })
 }
 
 // ClassifyRGB classifies an RGB sample directly, bit-identical to

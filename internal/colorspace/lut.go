@@ -1,21 +1,23 @@
 package colorspace
 
-// Table-driven classification support. ClassifyRGB is the single hottest
-// kernel in the decoder (every sampled pixel of every capture goes through
-// it: the detection class map, K-means correction windows, locator probes
-// and all data-cell reads), so the per-pixel float conversion is replaced
-// by integer comparisons plus two small lookup tables. The contract is
-// strict bit-identity with Classify(p.ToHSV()) for every (TV, RGB) input;
-// the tables are therefore *derived by running the reference float
-// expressions* over their full integer domains at init, never by
-// re-deriving thresholds in integer space.
+// Table-driven classification support. ClassifyRGB is a hot kernel in the
+// decoder (ring votes, the header strip and every data-cell read go
+// through it; the black-only scans of detection, K-means correction and
+// locator probes use the equivalent BlackLimit test), so the per-pixel
+// float conversion is replaced by integer comparisons plus two small
+// lookup tables. The contract is strict bit-identity with
+// Classify(p.ToHSV()) for every (TV, RGB) input; the tables are therefore
+// *derived by running the reference float expressions* over their full
+// integer domains at init, never by re-deriving thresholds in integer
+// space.
 //
 // Why integer decisions suffice:
 //
 //   - Black: the reference tests maxc < TV where maxc = float64(maxK)/255
 //     and maxK is the integer channel max (float max and integer max agree
 //     because k ↦ k/255 rounds monotonically). u8f caches exactly those
-//     256 quotients, so u8f[maxK] < tv is the same comparison.
+//     256 quotients, so u8f[maxK] < tv is the same comparison, and
+//     BlackLimit reduces it to maxK < limit.
 //
 //   - White: the reference tests maxc == 0 || delta/maxc < TSat, which
 //     depends only on the (max, min) integer pair — delta is the rounded
@@ -29,15 +31,13 @@ package colorspace
 //     whenever the corresponding channels differ — far outside the ~2⁻⁴⁵
 //     rounding slop of the 60·q±k sector arithmetic. The sector
 //     boundaries at exactly 60°/180°/300° are hit only on exact channel
-//     ties (q = ±1), which are integer equalities:
-//
-//       max == R: h ∈ [0,60] for G ≥ B (Red, h == 60 inclusive); for
-//                 G < B the hue wraps to (300, 360) — Red — except the
-//                 exact magenta tie B == R, where h == 300 → Blue.
-//       max == G: h ∈ (60, 180] always (the yellow tie R == G would give
-//                 h == 60, but R == G makes R the max branch) → Green.
-//       max == B: h ∈ (180, 300) always (both ties fall to other
-//                 branches) → Blue.
+//     ties (q = ±1), which are integer equalities. With max == R, h lies
+//     in [0, 60] for G ≥ B (Red, h == 60 inclusive); for G < B the hue
+//     wraps to (300, 360), Red, except the exact magenta tie B == R,
+//     where h == 300 → Blue. With max == G, h lies in (60, 180] always
+//     (the yellow tie R == G would give h == 60, but R == G makes R the
+//     max branch) → Green. With max == B, h lies in (180, 300) always
+//     (both ties fall to other branches) → Blue.
 //
 //     TestClassifyLUTExhaustive verifies the reduction against the float
 //     path over the entire 2²⁴ RGB domain.
@@ -77,4 +77,15 @@ func (c RGB) Value() float64 {
 		maxK = c.B
 	}
 	return u8f[maxK]
+}
+
+// Below reports whether every channel of c is below limit, that is whether
+// max(R, G, B) < limit; with limit = cl.BlackLimit() that is exactly
+// cl.ClassifyRGB(c) == Black. It takes no branch per channel, because
+// Go compiles a byte max to compare-and-jump, which noisy pixels
+// mispredict: a channel is below the limit exactly when its difference
+// from it is negative, and the AND of three ints is negative exactly when
+// all three are.
+func (c RGB) Below(limit int) bool {
+	return (int(c.R)-limit)&(int(c.G)-limit)&(int(c.B)-limit) < 0
 }

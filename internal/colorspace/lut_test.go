@@ -1,6 +1,7 @@
 package colorspace
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -143,6 +144,63 @@ func TestValueMatchesToHSV(t *testing.T) {
 				p := RGB{uint8(r), uint8(g), uint8(b)}
 				if got, want := p.Value(), p.ToHSV().V; got != want {
 					t.Fatalf("Value(%v) = %v, ToHSV().V = %v", p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// blackLimitTVs are the thresholds the BlackLimit proof runs at: zero
+// (DefaultTV), every level k/255 exactly, every midpoint between
+// neighbouring levels, and the degenerate negative, above-one, infinite
+// and NaN thresholds.
+func blackLimitTVs() []float64 {
+	tvs := []float64{0, -0.2, 1.01, math.Inf(1), math.Inf(-1), math.NaN()}
+	for k := 0; k < 256; k++ {
+		tvs = append(tvs, float64(k)/255)
+		if k < 255 {
+			tvs = append(tvs, (float64(k)/255+float64(k+1)/255)/2)
+		}
+	}
+	return tvs
+}
+
+func TestBlackLimitMatchesClassifier(t *testing.T) {
+	for _, tv := range blackLimitTVs() {
+		cl := Classifier{TV: tv}
+		limit := cl.BlackLimit()
+		// The limit counts the levels below the effective threshold,
+		// computed here from the quotients themselves, not from u8f.
+		eff := tv
+		if eff == 0 {
+			eff = DefaultTV
+		}
+		want := 0
+		for k := 0; k < 256; k++ {
+			if float64(k)/255 < eff {
+				want++
+			}
+		}
+		if limit != want {
+			t.Fatalf("TV=%v BlackLimit = %d, want %d", tv, limit, want)
+		}
+		// The black decision depends on the channel max alone: check every
+		// max with the other channels at both extremes and in between.
+		for m := 0; m < 256; m++ {
+			mk := uint8(m)
+			for _, p := range []RGB{
+				{mk, mk, mk}, {mk, 0, 0}, {0, mk, 0}, {0, 0, mk},
+				{mk, mk / 2, 0}, {0, mk / 3, mk}, {mk / 2, mk, mk},
+			} {
+				black := m < limit
+				if got := p.Below(limit); got != black {
+					t.Fatalf("%v.Below(%d) = %v, max %d < limit is %v", p, limit, got, m, black)
+				}
+				if got := cl.ClassifyRGB(p) == Black; got != black {
+					t.Fatalf("TV=%v ClassifyRGB(%v) black=%v, max %d < limit %d is %v", tv, p, got, m, limit, black)
+				}
+				if c, _ := cl.ClassifyRGBSoft(p); (c == Black) != black {
+					t.Fatalf("TV=%v ClassifyRGBSoft(%v) = %v, max %d < limit %d is %v", tv, p, c, m, limit, black)
 				}
 			}
 		}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"rainbar/internal/channel"
+	"rainbar/internal/colorspace"
 	"rainbar/internal/raster"
 )
 
@@ -179,4 +181,38 @@ func TestReceiverSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(5, process); n > 0 {
 		t.Fatalf("steady-state receiver allocates %.1f times per 4-capture batch, want 0", n)
 	}
+}
+
+// TestFailedIngestReusesRotation pins the cost of a capture without corner
+// trackers: decode retries it upside down, and the rotated copy must go
+// back to the image pool, so a warm receiver's failing Ingest allocates
+// well under one frame instead of a fresh 640x360 image every time.
+func TestFailedIngestReusesRotation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its cache at random under -race; the allocation contract is measured without it")
+	}
+	white := raster.New(640, 360)
+	white.Fill(colorspace.RGBWhite)
+	rx := NewReceiver(testCodec(t))
+	ingest := func() {
+		if err := rx.Ingest(white); !errors.Is(err, ErrNoCornerTrackers) {
+			t.Fatalf("white capture: err %v, want ErrNoCornerTrackers", err)
+		}
+	}
+	ingest() // warm scratch buffers and the image pool
+
+	// GC off so sync.Pool contents survive the measured calls.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	perIngest := (after.TotalAlloc - before.TotalAlloc) / runs
+	if frame := uint64(3 * len(white.Pix)); perIngest >= frame {
+		t.Fatalf("failing Ingest allocates %d bytes, want under one %d-byte frame", perIngest, frame)
+	}
+	t.Logf("failing Ingest allocates %d bytes", perIngest)
 }

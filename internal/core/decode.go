@@ -117,7 +117,12 @@ func (c *Codec) decodeGridLooseScratch(img *raster.Image, sc *decodeScratch) (*G
 	c.rec.Inc(obs.MCoreCaptures, 1)
 	gd, err := c.decodeGridOriented(img, sc)
 	if err != nil && errors.Is(err, ErrNoCornerTrackers) {
-		if gd2, err2 := c.decodeGridOriented(img.Rotate180(), sc); err2 == nil {
+		// The grid keeps no reference to the image it was decoded from,
+		// so the rotated copy goes back to the pool either way.
+		rot := img.Rotate180()
+		gd2, err2 := c.decodeGridOriented(rot, sc)
+		raster.Recycle(rot)
+		if err2 == nil {
 			return gd2, nil
 		}
 	}

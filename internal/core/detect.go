@@ -66,9 +66,9 @@ func estimateTV(img *raster.Image, sc *decodeScratch) (tv, vb, vo float64, ok bo
 	return colorspace.TVForMu(vb, vo, colorspace.Mu), vb, vo, true
 }
 
-// detectDownsample is the stride used for the classification map in
-// corner-tracker detection; the paper's "fast corner detection" similarly
-// avoids touching every pixel.
+// detectDownsample is the stride of the pixel grid labeled for black blobs
+// in corner-tracker detection; the paper's "fast corner detection"
+// similarly avoids touching every pixel.
 const detectDownsample = 2
 
 // detect runs brightness assessment and corner-tracker detection on a
@@ -82,17 +82,11 @@ func (c *Codec) detect(img *raster.Image, sc *decodeScratch) (*detection, error)
 	if img.W < 8 || img.H < 8 {
 		return nil, fmt.Errorf("core detect: capture %dx%d too small", img.W, img.H)
 	}
-	var classMap []colorspace.Color
-	var mw, mh int
-	var blobs []vision.Blob
+	bs := new(vision.BlobScratch)
 	if sc != nil {
-		classMap, mw, mh = vision.ClassifyMapInto(sc.classMap, img, cl, detectDownsample)
-		sc.classMap = classMap
-		blobs = sc.blobs.BlackBlobs(classMap, mw, mh)
-	} else {
-		classMap, mw, mh = vision.ClassifyMap(img, cl, detectDownsample)
-		blobs = vision.BlackBlobs(classMap, mw, mh)
+		bs = &sc.blobs
 	}
+	blobs, mw, mh := bs.BlackBlobs(img, cl, detectDownsample)
 
 	left, right, err := findTrackers(img, blobs, mw, mh, cl)
 	if err != nil {
@@ -119,7 +113,7 @@ func (c *Codec) detect(img *raster.Image, sc *decodeScratch) (*detection, error)
 }
 
 // findTrackers locates both corner trackers among the black blobs of the
-// classified map (each a single block: a locator or a CT center) by
+// sampled grid (each a single block: a locator or a CT center) by
 // verifying each blob's 8-neighbor ring: a blob whose eight surrounding
 // blocks are (almost) all green is the left tracker, all red the right
 // one. Among multiple candidates the strongest ring vote wins. The
@@ -135,8 +129,8 @@ func findTrackers(img *raster.Image, blobs []vision.Blob, mw, mh int, cl colorsp
 		b := &blobs[i]
 		w, h := b.Width(), b.Height()
 		// Single-block blobs only: squarish, not the screen surround
-		// (which spans a large fraction of the map). Width/height may
-		// shrink to one map cell when blur erodes a distant block, so the
+		// (which spans a large fraction of the grid). Width/height may
+		// shrink to one grid cell when blur erodes a distant block, so the
 		// lower bound stays permissive — the ring vote rejects impostors.
 		if w < 1 || h < 1 || w > mw/4 || h > mh/4 {
 			continue

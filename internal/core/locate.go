@@ -212,6 +212,7 @@ func (c *Codec) findFirstMiddle(img *raster.Image, cl colorspace.Classifier, det
 	// each way (0.15 covers >30° of foreshortening), with a small vertical
 	// fan to survive line-estimate error and lens bow.
 	step := 1.0 / spanLen // one pixel along the line
+	blackLimit := cl.BlackLimit()
 	for k := 0; float64(k)*step <= maxOff; k++ {
 		for _, sign := range [2]float64{1, -1} {
 			if k == 0 && sign < 0 {
@@ -222,7 +223,7 @@ func (c *Codec) findFirstMiddle(img *raster.Image, cl colorspace.Classifier, det
 			for dy := -dyFan; dy <= dyFan; dy++ {
 				cand := geometry.Point{X: base.X, Y: base.Y + float64(dy)}
 				x, y := int(cand.X+0.5), int(cand.Y+0.5)
-				if !img.In(x, y) || cl.ClassifyRGB(img.At(x, y)) != colorspace.Black {
+				if !img.In(x, y) || !img.Pix[y*img.W+x].Below(blackLimit) {
 					continue
 				}
 				if refined, ok := probe(cand); ok {

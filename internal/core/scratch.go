@@ -8,7 +8,7 @@ import (
 )
 
 // decodeScratch owns every per-capture intermediate of the grid-decode
-// pipeline (detection map, blob labeling state, locator columns, the
+// pipeline (T_v samples, blob labeling state, locator columns, the
 // GridDecode and its cell tables), so a steady-state receiver decodes
 // captures without allocating. All pipeline stages accept a nil scratch
 // and then allocate fresh results — that is the public API path
@@ -18,7 +18,6 @@ import (
 type decodeScratch struct {
 	// detect
 	tvValues []float64
-	classMap []colorspace.Color
 	blobs    vision.BlobScratch
 	det      detection
 

@@ -1,9 +1,10 @@
 // Package vision provides the small computer-vision primitives shared by
 // the RainBar and COBRA decoders: connected-component labeling of black
-// blocks on a classified map, the K-means-style location-correction
-// iteration of §III-E, black-extent probing, and ring-color voting around
-// a candidate corner-tracker center. Pure Go; these stand in for the
-// OpenCV primitives a smartphone implementation would use.
+// blocks straight from a capture's pixels, the K-means-style
+// location-correction iteration of §III-E, black-extent probing, and
+// ring-color voting around a candidate corner-tracker center. Pure Go;
+// these stand in for the OpenCV primitives a smartphone implementation
+// would use.
 package vision
 
 import (
@@ -12,136 +13,143 @@ import (
 	"rainbar/internal/raster"
 )
 
-// Blob is a connected component of black cells on a classified,
-// downsampled map. In both barcode layouts black cells are never adjacent
+// Blob is a connected component of black cells on the stride-sampled grid
+// of a capture. In both barcode layouts black cells are never adjacent
 // (locators and corner-tracker centers are isolated by colored blocks), so
 // each in-frame blob is a single block — which makes blobs both anchor
 // candidates and block-size estimates. The dark screen surround forms one
 // giant blob that size filters reject.
 type Blob struct {
-	// Size is the number of map cells in the component.
+	// Size is the number of grid cells in the component.
 	Size int
-	// MinX..MaxY is the bounding box in map coordinates.
+	// MinX..MaxY is the bounding box in grid coordinates.
 	MinX, MinY, MaxX, MaxY int
 	sumX, sumY             int
 }
 
-// Width returns the bounding-box width in map cells.
+// Width returns the bounding-box width in grid cells.
 func (b *Blob) Width() int { return b.MaxX - b.MinX + 1 }
 
-// Height returns the bounding-box height in map cells.
+// Height returns the bounding-box height in grid cells.
 func (b *Blob) Height() int { return b.MaxY - b.MinY + 1 }
 
-// Centroid returns the component centroid in map coordinates.
+// Centroid returns the component centroid in grid coordinates.
 func (b *Blob) Centroid() (float64, float64) {
 	return float64(b.sumX) / float64(b.Size), float64(b.sumY) / float64(b.Size)
 }
 
-// BlackBlobs labels 8-connected components of black cells on a classified
-// map of mw x mh cells. Components smaller than 2 cells are dropped as
-// noise.
-func BlackBlobs(classMap []colorspace.Color, mw, mh int) []Blob {
-	var s BlobScratch
-	return s.BlackBlobs(classMap, mw, mh)
+// merge folds component o into b.
+func (b *Blob) merge(o *Blob) {
+	b.Size += o.Size
+	b.MinX, b.MaxX = min(b.MinX, o.MinX), max(b.MaxX, o.MaxX)
+	b.MinY, b.MaxY = min(b.MinY, o.MinY), max(b.MaxY, o.MaxY)
+	b.sumX += o.sumX
+	b.sumY += o.sumY
 }
 
-// BlobScratch holds the reusable working state of BlackBlobs, so a decoder
-// that labels one map per capture does not reallocate the visited plane,
-// the flood-fill stack and the blob list every time. The zero value is
-// ready to use; a BlobScratch is not safe for concurrent use.
+// run is a horizontal run of black cells, columns x0..x1 inclusive.
+type run struct{ x0, x1 int }
+
+// BlobScratch holds the reusable working state of BlackBlobs — every run
+// of the grid, its union-find parent and its component stats — so a
+// decoder that labels one capture after another does not reallocate them.
+// The zero value is ready to use; a BlobScratch is not safe for concurrent
+// use.
 type BlobScratch struct {
-	// visited marks cells by epoch: a cell is visited in the current call
-	// iff visited[i] == epoch. Bumping the epoch resets the plane in O(1);
-	// the plane is only cleared for real on the (rare) epoch wraparound.
-	visited []uint32
-	epoch   uint32
-	stack   []int
-	blobs   []Blob
+	runs   []run
+	parent []int32 // a root is its component's lowest run id
+	stats  []Blob  // per run; at a root, the whole component's
 }
 
-// BlackBlobs is the scratch-backed labeling; results are identical to the
-// package-level BlackBlobs. The returned slice is owned by the scratch and
-// valid until the next call.
-func (s *BlobScratch) BlackBlobs(classMap []colorspace.Color, mw, mh int) []Blob {
-	if cap(s.visited) >= mw*mh {
-		s.visited = s.visited[:mw*mh]
-	} else {
-		s.visited = make([]uint32, mw*mh)
-	}
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.visited)
-		s.epoch = 1
-	}
-	epoch := s.epoch
-	visited := s.visited
-	out := s.blobs[:0]
-	stack := s.stack
-	for start := range classMap {
-		if classMap[start] != colorspace.Black || visited[start] == epoch {
-			continue
-		}
-		blob := Blob{MinX: mw, MinY: mh}
-		stack = stack[:0]
-		stack = append(stack, start)
-		visited[start] = epoch
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x, y := i%mw, i/mw
-			blob.Size++
-			blob.sumX += x
-			blob.sumY += y
-			blob.MinX = min(blob.MinX, x)
-			blob.MaxX = max(blob.MaxX, x)
-			blob.MinY = min(blob.MinY, y)
-			blob.MaxY = max(blob.MaxY, y)
-			for _, d := range [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || nx >= mw || ny < 0 || ny >= mh {
-					continue
-				}
-				j := ny*mw + nx
-				if visited[j] != epoch && classMap[j] == colorspace.Black {
-					visited[j] = epoch
-					stack = append(stack, j)
-				}
-			}
-		}
-		if blob.Size >= 2 {
-			out = append(out, blob)
-		}
-	}
-	s.stack, s.blobs = stack, out
-	return out
-}
-
-// ClassifyMap builds a downsampled classification map of the image with
-// the given stride.
-func ClassifyMap(img *raster.Image, cl colorspace.Classifier, stride int) (classMap []colorspace.Color, mw, mh int) {
-	return ClassifyMapInto(nil, img, cl, stride)
-}
-
-// ClassifyMapInto is ClassifyMap writing into dst when its capacity
-// suffices (allocating otherwise), so a per-capture decoder can reuse one
-// map. The inner loop walks each source row as a slice, skipping the
-// per-pixel bounds check of Image.At — every sampled coordinate is in
-// bounds by construction of mw, mh.
-func ClassifyMapInto(dst []colorspace.Color, img *raster.Image, cl colorspace.Classifier, stride int) (classMap []colorspace.Color, mw, mh int) {
+// BlackBlobs labels the 8-connected components of black cells on the grid
+// that samples img every stride pixels: cell (x, y) is pixel
+// (x·stride, y·stride), for mw = W/stride columns and mh = H/stride rows,
+// and it is black when the pixel is Below(cl.BlackLimit()), that is when
+// cl.ClassifyRGB classifies it Black. Components smaller than 2 cells are
+// dropped as noise.
+//
+// It is one pass over the sampled pixels. Each row's black runs are
+// unioned with every previous-row run whose x-range lies within ±1 of
+// theirs. The lowest run id is a component's root, so blobs come out in
+// the raster order of their first cell. Sizes, bounding boxes and
+// coordinate sums are integers summed per run, so nothing depends on the
+// order runs join. The returned slice is owned by the scratch and valid
+// until the next call.
+func (s *BlobScratch) BlackBlobs(img *raster.Image, cl colorspace.Classifier, stride int) (blobs []Blob, mw, mh int) {
 	mw, mh = img.W/stride, img.H/stride
-	if cap(dst) >= mw*mh {
-		classMap = dst[:mw*mh]
-	} else {
-		classMap = make([]colorspace.Color, mw*mh)
-	}
-	for y := 0; y < mh; y++ {
-		src := img.Pix[y*stride*img.W:]
-		out := classMap[y*mw : (y+1)*mw]
+	limit := cl.BlackLimit()
+	s.runs, s.parent, s.stats = s.runs[:0], s.parent[:0], s.stats[:0]
+	for y, prev := 0, 0; y < mh && mw > 0; y++ {
+		cur := len(s.runs)
+		row := img.Pix[y*stride*img.W:][:(mw-1)*stride+1]
+		near := prev // first previous-row run that can touch the next run
 		for x := 0; x < mw; x++ {
-			out[x] = cl.ClassifyRGB(src[x*stride])
+			if !row[x*stride].Below(limit) {
+				continue
+			}
+			x0 := x
+			for x+1 < mw && row[(x+1)*stride].Below(limit) {
+				x++
+			}
+			near = s.addRun(x0, x, y, near, cur)
+		}
+		prev = cur
+	}
+	// Roots in run-id order are the components in first-cell order; pack
+	// the kept ones to the front of stats (the write index never passes
+	// the read index).
+	out := s.stats[:0]
+	for i, b := range s.stats {
+		if s.parent[i] == int32(i) && b.Size >= 2 {
+			out = append(out, b)
 		}
 	}
-	return classMap, mw, mh
+	return out, mw, mh
+}
+
+// addRun records the run x0..x1 of row y and unions it with the runs of
+// the previous row, s.runs[near:cur], that lie within one column of it. It
+// returns the new near: runs ending left of x0-1 cannot touch the row's
+// later runs either, which all start right of x1+1.
+func (s *BlobScratch) addRun(x0, x1, y, near, cur int) int {
+	id := int32(len(s.runs))
+	n := x1 - x0 + 1
+	s.runs = append(s.runs, run{x0, x1})
+	s.parent = append(s.parent, id)
+	s.stats = append(s.stats, Blob{
+		Size: n, MinX: x0, MaxX: x1, MinY: y, MaxY: y,
+		sumX: (x0 + x1) * n / 2, sumY: y * n,
+	})
+	for near < cur && s.runs[near].x1 < x0-1 {
+		near++
+	}
+	for k := near; k < cur && s.runs[k].x0 <= x1+1; k++ {
+		s.union(id, int32(k))
+	}
+	return near
+}
+
+// union joins the components of runs a and b under the lower root.
+func (s *BlobScratch) union(a, b int32) {
+	ra, rb := s.find(a), s.find(b)
+	if ra == rb {
+		return
+	}
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	s.parent[rb] = ra
+	s.stats[ra].merge(&s.stats[rb])
+}
+
+// find returns the root of run i, halving the path on the way.
+func (s *BlobScratch) find(i int32) int32 {
+	p := s.parent
+	for p[i] != i {
+		p[i] = p[p[i]]
+		i = p[i]
+	}
+	return i
 }
 
 // KMeansCorrect is the paper's location-correction algorithm (§III-E):
@@ -153,6 +161,7 @@ func KMeansCorrect(img *raster.Image, cl colorspace.Classifier, p geometry.Point
 		edge = 2
 	}
 	half := int(edge/2 + 0.5)
+	limit := cl.BlackLimit()
 	cur := p
 	for iter := 0; iter < 12; iter++ {
 		var sumX, sumY float64
@@ -164,7 +173,7 @@ func KMeansCorrect(img *raster.Image, cl colorspace.Classifier, p geometry.Point
 				if !img.In(x, y) {
 					continue
 				}
-				if cl.ClassifyRGB(img.At(x, y)) == colorspace.Black {
+				if img.Pix[y*img.W+x].Below(limit) {
 					sumX += float64(x)
 					sumY += float64(y)
 					n++
@@ -187,11 +196,12 @@ func KMeansCorrect(img *raster.Image, cl colorspace.Classifier, p geometry.Point
 // axis directions, up to maxSteps each.
 func BlackExtent(img *raster.Image, cl colorspace.Classifier, p geometry.Point, maxSteps int) (up, down, left, right int) {
 	x0, y0 := int(p.X+0.5), int(p.Y+0.5)
+	limit := cl.BlackLimit()
 	step := func(dx, dy int) int {
 		n := 0
 		for i := 1; i <= maxSteps; i++ {
 			x, y := x0+i*dx, y0+i*dy
-			if !img.In(x, y) || cl.ClassifyRGB(img.At(x, y)) != colorspace.Black {
+			if !img.In(x, y) || !img.Pix[y*img.W+x].Below(limit) {
 				break
 			}
 			n++

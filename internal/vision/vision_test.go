@@ -15,16 +15,22 @@ func paint(img *raster.Image, x, y, size int, c colorspace.Color) {
 
 func classifier() colorspace.Classifier { return colorspace.NewClassifier(0.3) }
 
-func TestClassifyMapDimensions(t *testing.T) {
-	img := raster.New(64, 48)
-	m, mw, mh := ClassifyMap(img, classifier(), 2)
-	if mw != 32 || mh != 24 || len(m) != 32*24 {
-		t.Fatalf("map %dx%d len %d", mw, mh, len(m))
+// blackBlobs labels img at stride 2 with a fresh scratch.
+func blackBlobs(img *raster.Image) []Blob {
+	var s BlobScratch
+	blobs, _, _ := s.BlackBlobs(img, classifier(), 2)
+	return blobs
+}
+
+func TestBlackBlobsGridDimensions(t *testing.T) {
+	img := raster.New(65, 49) // all black; the odd last column and row are not sampled
+	var s BlobScratch
+	blobs, mw, mh := s.BlackBlobs(img, classifier(), 2)
+	if mw != 32 || mh != 24 {
+		t.Fatalf("grid %dx%d, want 32x24", mw, mh)
 	}
-	for _, c := range m {
-		if c != colorspace.Black {
-			t.Fatal("black image classified non-black")
-		}
+	if len(blobs) != 1 || blobs[0].Size != 32*24 || blobs[0].Width() != 32 || blobs[0].Height() != 24 {
+		t.Fatalf("all-black image labeled %+v, want one 32x24 blob", blobs)
 	}
 }
 
@@ -33,8 +39,7 @@ func TestBlackBlobsFindsIsolatedBlocks(t *testing.T) {
 	img.Fill(colorspace.RGBWhite)
 	paint(img, 10, 10, 8, colorspace.Black)
 	paint(img, 50, 60, 8, colorspace.Black)
-	m, mw, mh := ClassifyMap(img, classifier(), 2)
-	blobs := BlackBlobs(m, mw, mh)
+	blobs := blackBlobs(img)
 	if len(blobs) != 2 {
 		t.Fatalf("%d blobs, want 2", len(blobs))
 	}
@@ -51,9 +56,7 @@ func TestBlackBlobsMergesDiagonal(t *testing.T) {
 	img.Fill(colorspace.RGBWhite)
 	paint(img, 10, 10, 6, colorspace.Black)
 	paint(img, 16, 16, 6, colorspace.Black)
-	m, mw, mh := ClassifyMap(img, classifier(), 2)
-	blobs := BlackBlobs(m, mw, mh)
-	if len(blobs) != 1 {
+	if blobs := blackBlobs(img); len(blobs) != 1 {
 		t.Fatalf("%d blobs, want 1 (diagonal connectivity)", len(blobs))
 	}
 }
@@ -61,9 +64,8 @@ func TestBlackBlobsMergesDiagonal(t *testing.T) {
 func TestBlackBlobsDropsSingleCells(t *testing.T) {
 	img := raster.New(40, 40)
 	img.Fill(colorspace.RGBWhite)
-	img.Set(20, 20, colorspace.RGBBlack) // one pixel -> one map cell at most
-	m, mw, mh := ClassifyMap(img, classifier(), 2)
-	if blobs := BlackBlobs(m, mw, mh); len(blobs) != 0 {
+	img.Set(20, 20, colorspace.RGBBlack) // one pixel -> one grid cell at most
+	if blobs := blackBlobs(img); len(blobs) != 0 {
 		t.Fatalf("%d blobs from single-pixel noise, want 0", len(blobs))
 	}
 }
@@ -71,9 +73,8 @@ func TestBlackBlobsDropsSingleCells(t *testing.T) {
 func TestBlobCentroid(t *testing.T) {
 	img := raster.New(60, 60)
 	img.Fill(colorspace.RGBWhite)
-	paint(img, 20, 30, 10, colorspace.Black) // block spans map x 10..14, y 15..19
-	m, mw, mh := ClassifyMap(img, classifier(), 2)
-	blobs := BlackBlobs(m, mw, mh)
+	paint(img, 20, 30, 10, colorspace.Black) // block spans grid x 10..14, y 15..19
+	blobs := blackBlobs(img)
 	if len(blobs) != 1 {
 		t.Fatalf("%d blobs", len(blobs))
 	}

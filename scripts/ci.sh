@@ -15,7 +15,8 @@
 # the bench smoke proves the perf-snapshot harness (scripts/bench.sh,
 # BENCH_<n>.json) runs end to end; the serve soak and loadtest smoke
 # gate the multi-session daemon (DESIGN.md §12); the fuzz steps
-# keep the decode paths panic-free on corrupt input (Go runs one fuzz
+# keep the decode paths panic-free on corrupt input and hold the blob
+# labeler identical to its flood-fill reference (Go runs one fuzz
 # target per invocation, hence one line each). Set CI_FUZZ=0 to skip the
 # fuzz smoke locally and keep the build+lint+test gate fast. Run before
 # every merge.
@@ -90,6 +91,7 @@ if [ "${CI_FUZZ:-1}" != "0" ]; then
 	go test -fuzz=FuzzRSDecode -fuzztime=10s ./internal/rs
 	go test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzLadderDecode -fuzztime=20s ./internal/core
+	go test -fuzz=FuzzBlackBlobs -fuzztime=10s ./internal/vision
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/serve
 	go test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/journal
 fi
