@@ -89,20 +89,41 @@ type Capture struct {
 func (cap *Capture) Mixed() bool { return len(cap.SourceFrames) > 1 }
 
 // Film captures the entire display sequence through the given channel,
-// returning every capture whose scan overlaps the display interval. Each
-// capture is one channel.CaptureRows call over the rows' plan, so optics
-// and noise act on the composite exposure, as in a real sensor.
+// returning every capture whose scan overlaps the display interval. It
+// collects what FilmEach hands over.
 func (c Camera) Film(d *screen.Display, ch *channel.Channel) ([]Capture, error) {
-	if err := c.Validate(); err != nil {
+	var out []Capture
+	if err := c.FilmEach(d, ch, func(cap Capture) error {
+		out = append(out, cap)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	var out []Capture
+	return out, nil
+}
+
+// FilmEach films the display through the given channel and hands each
+// capture whose scan overlaps the display interval to fn as soon as it is
+// taken, in scan order. Each capture is one channel.CaptureRows call over
+// the rows' plan, so optics and noise act on the composite exposure, as
+// in a real sensor. fn owns the capture: FilmEach keeps no reference to
+// it, so fn may recycle the image once done with it. Before each scan
+// FilmEach releases the display frames no later scan can show, so a
+// rendered display holds only the frames around the scan. A non-nil error
+// from fn stops filming and is returned as is.
+func (c Camera) FilmEach(d *screen.Display, ch *channel.Channel, fn func(Capture) error) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	defer d.Release(d.End())
 	readout := time.Duration(float64(c.Period()) * c.ReadoutFraction)
 	// Determinism contract (RB-D2): locally seeded *rand.Rand — shutter
 	// jitter is a pure function of c.Seed, so a Film run is bit-identical
 	// for identical configurations.
 	rng := rand.New(rand.NewSource(c.Seed))
 	maxJitter := (c.Period() - readout) / 2 // captures must not overlap
+	_, h := d.Size()
+	rows := make([]channel.Row, h) // one plan, reused by every scan
 	for k := 0; ; k++ {
 		start := c.Phase + time.Duration(k)*c.Period()
 		if c.TimingJitter > 0 && maxJitter > 0 {
@@ -121,9 +142,11 @@ func (c Camera) Film(d *screen.Display, ch *channel.Channel) ([]Capture, error) 
 		if start+readout <= 0 {
 			continue
 		}
-		cap, err := c.captureOne(d, ch, start, readout)
+		// Scans never overlap, so every earlier scan has ended by start.
+		d.Release(start)
+		cap, err := c.captureOne(d, ch, start, readout, rows)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cap == nil {
 			continue
@@ -141,15 +164,19 @@ func (c Camera) Film(d *screen.Display, ch *channel.Channel) ([]Capture, error) 
 				c.Recorder.Inc(obs.MCameraMixed, 1)
 			}
 		}
-		out = append(out, *cap)
+		if err := fn(*cap); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
-// captureOne scans one image starting at start. Returns nil if no display
-// frame is visible during the scan.
-func (c Camera) captureOne(d *screen.Display, ch *channel.Channel, start, readout time.Duration) (*Capture, error) {
-	h := d.Frame(0).H
+// captureOne scans one image starting at start into the plan rows (one
+// entry per frame row). Returns nil if no display frame is visible during
+// the scan. It leaves rows cleared, so the plan keeps no frame alive.
+func (c Camera) captureOne(d *screen.Display, ch *channel.Channel, start, readout time.Duration, rows []channel.Row) (*Capture, error) {
+	h := len(rows)
+	defer clear(rows)
 
 	// Plan every captured row's source: frame b, or a blend of frames a
 	// and b (LCD transition) with weight alpha toward b; rows with no
@@ -157,7 +184,6 @@ func (c Camera) captureOne(d *screen.Display, ch *channel.Channel, start, readou
 	// stay black. The "dominant" frame (the one contributing more than half
 	// the blend) defines provenance; fully blended rows still carry pixels
 	// of both.
-	rows := make([]channel.Row, h)
 	var distinct []int
 	var boundaries []int
 	visible := false

@@ -301,17 +301,24 @@ func (c *Codec) extractGrid(img *raster.Image, det *detection, lm *locatorMap, s
 		LocatorMisses: lm.misses,
 		Sharpness:     sharp,
 	}
-	if c.cfg.RecoveryBudget > 0 {
-		// Soft extraction: same colors (ClassifyRGBSoft's class is pinned
-		// bit-identical to ClassifyRGB) plus the per-cell confidence the
-		// recovery ladder ranks erasures by.
-		for i, cell := range dataCells {
-			p := c.cellCenter(lm, cell.Row, cell.Col)
-			gd.Cells[i], gd.Conf[i] = cl.ClassifyRGBSoft(img.MeanFilterAt(int(p.X+0.5), int(p.Y+0.5)))
+	// Data cells come row-major, so each row's anchor terms are computed
+	// once, on its first cell.
+	var rm rowMap
+	row := -1
+	for i, cell := range dataCells {
+		if cell.Row != row {
+			row = cell.Row
+			rm = c.rowMapAt(lm, row)
 		}
-	} else {
-		for i, cell := range dataCells {
-			gd.Cells[i] = c.sampleCell(img, cl, lm, cell.Row, cell.Col)
+		p := rm.at(cell.Col)
+		px := img.MeanFilterAt(int(p.X+0.5), int(p.Y+0.5))
+		if c.cfg.RecoveryBudget > 0 {
+			// Soft extraction: same colors (ClassifyRGBSoft's class is
+			// pinned bit-identical to ClassifyRGB) plus the per-cell
+			// confidence the recovery ladder ranks erasures by.
+			gd.Cells[i], gd.Conf[i] = cl.ClassifyRGBSoft(px)
+		} else {
+			gd.Cells[i] = cl.ClassifyRGB(px)
 		}
 	}
 

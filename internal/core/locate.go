@@ -283,27 +283,59 @@ func bracket(rows []int, row int) (t float64, i0, i1 int) {
 // synthesizes it as the midpoint), the fit degenerates to Eq. 1's linear
 // interpolation.
 func (c *Codec) cellCenter(lm *locatorMap, row, col int) geometry.Point {
-	colL, colM, colR := c.cfg.Geometry.LocatorCols()
+	rm := c.rowMapAt(lm, row)
+	return rm.at(col)
+}
+
+// rowMap is the per-grid-row half of cellCenter: the row's anchors, chord
+// and middle-anchor terms, which every cell of the row shares. A loop over
+// row-major cells builds one per row and maps each cell with at, doing
+// cellCenter's float operations in cellCenter's order.
+type rowMap struct {
+	colL, colM, colR int
+	l, r             geometry.Point
+	chord, normal    geometry.Point
+	// tm and om are the middle anchor's chord parameter and off-chord
+	// offset, in chord-relative units.
+	tm, om float64
+	// linear marks a chord shorter than a pixel, where the row falls back
+	// to Eq. 1's linear interpolation between the outer anchors.
+	linear bool
+}
+
+// rowMapAt computes grid row row's rowMap from its three locator anchors.
+func (c *Codec) rowMapAt(lm *locatorMap, row int) rowMap {
+	rm := rowMap{}
+	rm.colL, rm.colM, rm.colR = c.cfg.Geometry.LocatorCols()
 	l, m, r := c.anchors(lm, row)
+	rm.l, rm.r = l, r
 
 	chord := r.Sub(l)
 	chordLen2 := chord.X*chord.X + chord.Y*chord.Y
 	if chordLen2 < 1 {
-		return geometry.Lerp(l, r, float64(col-colL)/float64(colR-colL))
+		rm.linear = true
+		return rm
 	}
-	// Chord parameter and off-chord offset of the middle anchor.
 	v := m.Sub(l)
-	tm := (v.X*chord.X + v.Y*chord.Y) / chordLen2
-	om := (v.X*chord.Y - v.Y*chord.X) / chordLen2 // in chord-relative units
+	rm.chord = chord
+	rm.tm = (v.X*chord.X + v.Y*chord.Y) / chordLen2
+	rm.om = (v.X*chord.Y - v.Y*chord.X) / chordLen2
+	rm.normal = geometry.Point{X: chord.Y, Y: -chord.X}
+	return rm
+}
 
-	t := projectiveParam(float64(col), float64(colL), float64(colM), float64(colR), tm)
+// at maps column col of the row to capture coordinates.
+func (rm *rowMap) at(col int) geometry.Point {
+	if rm.linear {
+		return geometry.Lerp(rm.l, rm.r, float64(col-rm.colL)/float64(rm.colR-rm.colL))
+	}
+	t := projectiveParam(float64(col), float64(rm.colL), float64(rm.colM), float64(rm.colR), rm.tm)
 	// Lens bow: quadratic through (0,0), (tm,om), (1,0).
 	var bow float64
-	if tm > 0.05 && tm < 0.95 {
-		bow = om * t * (1 - t) / (tm * (1 - tm))
+	if rm.tm > 0.05 && rm.tm < 0.95 {
+		bow = rm.om * t * (1 - t) / (rm.tm * (1 - rm.tm))
 	}
-	normal := geometry.Point{X: chord.Y, Y: -chord.X}
-	return l.Add(chord.Scale(t)).Add(normal.Scale(bow))
+	return rm.l.Add(rm.chord.Scale(t)).Add(rm.normal.Scale(bow))
 }
 
 // projectiveParam returns the 1-D projective parameter t(col) with

@@ -406,21 +406,29 @@ func (rx *Receiver) ingestDecoded(gd *GridDecode, err error) error {
 	}
 
 	// Distribute each data cell to its owning logical frame by row,
-	// accumulating sharpness- and suspicion-weighted votes.
+	// accumulating sharpness- and suspicion-weighted votes. A frame already
+	// decoded takes no more votes: nothing reads them, and an accumulator
+	// opened for it would stay open until Reset, so a long stream would
+	// hold one per frame.
+	seqs := [2]uint16{seqTop, seqBot}
+	var decoded [2]bool
+	for o, seq := range seqs {
+		_, decoded[o] = rx.done[seq]
+	}
+	var pfs [2]*partialFrame
 	for i, cell := range g.DataCells() {
 		owner := owners[cell.Row]
-		if owner < 0 {
+		if owner < 0 || decoded[owner] {
 			continue
 		}
-		seq := seqTop
-		if owner == 1 {
-			seq = seqBot
+		if pfs[owner] == nil {
+			pfs[owner] = rx.getPartial(seqs[owner])
 		}
+		pf := pfs[owner]
 		cf := 0.0
 		if gd.Conf != nil {
 			cf = gd.Conf[i]
 		}
-		pf := rx.getPartial(seq)
 		pf.vote(i, gd.Cells[i], cf, gd.Sharpness*weight[cell.Row])
 		if weight[cell.Row] == 1 {
 			pf.rowFilled[cell.Row] = true
@@ -429,7 +437,9 @@ func (rx *Receiver) ingestDecoded(gd *GridDecode, err error) error {
 
 	// The header row is owned by the top frame.
 	if headerTrusted {
-		rx.getPartial(seqTop).addHeaderVote(gd.Header)
+		if !decoded[0] {
+			rx.getPartial(seqTop).addHeaderVote(gd.Header)
+		}
 		rx.lastTop = seqTop
 		rx.lastTopSet = true
 	}

@@ -83,6 +83,28 @@ func TestReceiverSlowDisplayRecoversAll(t *testing.T) {
 	}
 }
 
+// TestDecodedFramesTakeNoVotes: once a frame has decoded, later captures
+// of it open no accumulator for it, so a receiver fed a long stream holds
+// accumulators only for the frames still being assembled, not one for
+// every frame it has seen.
+func TestDecodedFramesTakeNoVotes(t *testing.T) {
+	c := testCodec(t)
+	payloads := randomPayloads(c, 12, 13)
+	caps := transmit(t, c, payloads, 10, channel.DefaultConfig())
+	rx := NewReceiver(c)
+	most := 0
+	for _, cap := range caps {
+		_ = rx.Ingest(cap.Image)
+		most = max(most, len(rx.partial))
+	}
+	if got := recoveredCount(rx, payloads); got != len(payloads) {
+		t.Fatalf("recovered %d/%d frames", got, len(payloads))
+	}
+	if len(rx.partial) != 0 || most > 2 {
+		t.Fatalf("%d accumulators open after every frame decoded, at most %d at once; want none, and at most 2", len(rx.partial), most)
+	}
+}
+
 func TestReceiverFastDisplayUsesTrackingBars(t *testing.T) {
 	// f_d = 20 > f_c/2: captures are mixed; only tracking-bar sync can
 	// reassemble the frames.

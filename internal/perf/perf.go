@@ -9,7 +9,8 @@
 // the per-capture pipeline (FixImage, DecodeGrid, DecodeFrame,
 // AssemblePayload) and the receiver loop (fresh-receiver and steady-state
 // variants, plus the batched ingest). The camera_film kernels time the
-// simulated link a transfer films through. Snapshots from different hosts
+// simulated link a transfer films through, and transport_round one whole
+// streamed round of the session path. Snapshots from different hosts
 // are not comparable — the header records CPU count and git revision so a
 // reader can tell.
 package perf
@@ -32,6 +33,7 @@ import (
 	"rainbar/internal/core/layout"
 	"rainbar/internal/raster"
 	"rainbar/internal/screen"
+	"rainbar/internal/transport"
 )
 
 // Schema identifies the snapshot layout; bump when fields change meaning.
@@ -151,10 +153,12 @@ func Collect(benchtime string) (*Snapshot, error) {
 	return s, nil
 }
 
-// gitRev reports the working tree's short revision, or "unknown" outside a
-// git checkout.
+// gitRev reports the short revision of the tree being measured, with a
+// "-dirty" suffix when it differs from that commit by uncommitted changes
+// to tracked files (a snapshot taken before its change is committed names
+// the parent plus that change), or "unknown" outside a git checkout.
 func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	out, err := exec.Command("git", "describe", "--always", "--abbrev=7", "--dirty", "--exclude=*").Output() // --exclude: a hash, never a tag name
 	if err != nil {
 		return "unknown"
 	}
@@ -289,6 +293,45 @@ func filmKernel(distanceCM float64) func() (func(*testing.B), error) {
 			}
 		}, nil
 	}
+}
+
+// roundKernel plays one transport round of six 640x360 frames (12 px
+// blocks) at 10 fps through the session path: encode, on-demand render,
+// film through the default channel and camera, and windowed decode into
+// the collector. The session is reset before every round, so each op
+// films the same captures.
+func roundKernel() (func(*testing.B), error) {
+	g, err := layout.NewGeometry(640, 360, 12)
+	if err != nil {
+		return nil, err
+	}
+	c, err := core.NewCodec(core.Config{Geometry: g, DisplayRate: 10, AppType: 1})
+	if err != nil {
+		return nil, err
+	}
+	ch, err := channel.New(channel.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	s := &transport.Session{Codec: c, Link: transport.Link{Channel: ch, Camera: camera.Default(), DisplayRate: 10}}
+	fc := transport.FileCodec{Codec: c}
+	data := make([]byte, 5*fc.ChunkSize()+1)
+	rand.New(rand.NewSource(6)).Read(data)
+	if n := fc.NumChunks(len(data)); n != 6 {
+		return nil, fmt.Errorf("perf: round payload splits into %d frames, want 6", n)
+	}
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			x, err := s.Begin(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := x.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}, nil
 }
 
 var kernels = []kernel{
@@ -483,4 +526,5 @@ var kernels = []kernel{
 	}},
 	{"camera_film", filmKernel(channel.ReferenceDistanceCM)},
 	{"camera_film_close", filmKernel(6)},
+	{"transport_round", roundKernel},
 }

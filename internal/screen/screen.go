@@ -16,11 +16,21 @@ import (
 )
 
 // Display is a frame sequence shown at RateFPS starting at Start.
-// The zero value is unusable; use NewDisplay.
+// The zero value is unusable; use NewDisplay or NewRenderedDisplay.
 type Display struct {
+	// frames holds the sequence. A slice-backed display holds the caller's
+	// frames for its whole life. A rendered display holds frame i only
+	// from its first Frame call until Release drops it; nil otherwise.
 	frames []*raster.Image
-	rate   float64
-	start  time.Duration
+	w, h   int
+	// render draws frame i; nil for a slice-backed display.
+	render func(i int) *raster.Image
+	// low is the first frame index Release has not dropped: every rendered
+	// frame below it is nil.
+	low      int
+	resident int
+	rate     float64
+	start    time.Duration
 
 	// Transition is the LCD response time: for this long after a frame
 	// switch the panel shows a blend of the old and new frame. Zero means
@@ -30,10 +40,11 @@ type Display struct {
 	Transition time.Duration
 }
 
-// NewDisplay creates a display timeline. rateFPS must be positive and
-// frames non-empty, and every frame a complete image of one shared size:
-// the panel has one resolution, and a camera films every frame through
-// one capture geometry.
+// NewDisplay creates a display timeline over frames the caller owns.
+// rateFPS must be positive and frames non-empty, and every frame a
+// complete image of one shared size: the panel has one resolution, and a
+// camera films every frame through one capture geometry. The display
+// never releases these frames.
 func NewDisplay(frames []*raster.Image, rateFPS float64, start time.Duration) (*Display, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("screen: no frames to display")
@@ -51,7 +62,26 @@ func NewDisplay(frames []*raster.Image, rateFPS float64, start time.Duration) (*
 	if rateFPS <= 0 {
 		return nil, fmt.Errorf("screen: display rate %.2f fps must be positive", rateFPS)
 	}
-	return &Display{frames: frames, rate: rateFPS, start: start}, nil
+	return &Display{frames: frames, w: frames[0].W, h: frames[0].H, rate: rateFPS, start: start}, nil
+}
+
+// NewRenderedDisplay creates a display timeline of n w x h frames that
+// draws frame i with render(i) the first time a scan shows it, so a
+// sequence no camera ever films whole is never held whole. render must
+// return a fresh w x h image the display may recycle: Release hands each
+// frame's pixels back to the raster pool once no later scan can show it.
+func NewRenderedDisplay(n, w, h int, render func(i int) *raster.Image, rateFPS float64, start time.Duration) (*Display, error) {
+	switch {
+	case n <= 0:
+		return nil, fmt.Errorf("screen: no frames to display")
+	case w <= 0 || h <= 0:
+		return nil, fmt.Errorf("screen: %dx%d frames", w, h)
+	case render == nil:
+		return nil, fmt.Errorf("screen: nil frame renderer")
+	case rateFPS <= 0:
+		return nil, fmt.Errorf("screen: display rate %.2f fps must be positive", rateFPS)
+	}
+	return &Display{frames: make([]*raster.Image, n), w: w, h: h, render: render, rate: rateFPS, start: start}, nil
 }
 
 // Rate returns the display rate in frames per second.
@@ -86,9 +116,50 @@ func (d *Display) FrameAt(t time.Duration) int {
 	return idx
 }
 
-// Frame returns the rendered image for index i. It panics on a bad index;
-// callers pass indices obtained from FrameAt.
-func (d *Display) Frame(i int) *raster.Image { return d.frames[i] }
+// Size returns the frames' width and height without rendering any.
+func (d *Display) Size() (w, h int) { return d.w, d.h }
+
+// Frame returns the image for index i, rendering it on a rendered
+// display's first request. It panics on a bad index; callers pass indices
+// obtained from FrameAt or BlendAt.
+func (d *Display) Frame(i int) *raster.Image {
+	if f := d.frames[i]; f != nil {
+		return f
+	}
+	f := d.render(i)
+	d.frames[i] = f
+	d.low = min(d.low, i)
+	d.resident++
+	return f
+}
+
+// Resident returns how many rendered frames the display holds: frames it
+// drew on request and has not yet released. A slice-backed display holds
+// none of its own.
+func (d *Display) Resident() int { return d.resident }
+
+// Release tells a rendered display that no scan will again show the
+// screen before t, so every frame the panel can no longer show from t on
+// (neither on its own nor as the old frame of a transition) goes back to
+// the raster pool. Scans run forward in time; a later Frame call for a
+// released frame renders it again. Release is a no-op on a slice-backed
+// display, whose frames belong to the caller.
+func (d *Display) Release(t time.Duration) {
+	if d.render == nil || t < d.start {
+		return
+	}
+	keep := len(d.frames) // at or past the end nothing can be shown again
+	if t < d.End() {
+		keep, _, _ = d.BlendAt(t)
+	}
+	for ; d.low < keep; d.low++ {
+		if f := d.frames[d.low]; f != nil {
+			raster.Recycle(f)
+			d.frames[d.low] = nil
+			d.resident--
+		}
+	}
+}
 
 // SwitchTime returns the instant frame i replaces frame i-1 on screen.
 func (d *Display) SwitchTime(i int) time.Duration {

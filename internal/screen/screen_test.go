@@ -187,3 +187,108 @@ func TestSwitchTime(t *testing.T) {
 		t.Errorf("SwitchTime(2) = %v", got)
 	}
 }
+
+func TestNewRenderedDisplayValidation(t *testing.T) {
+	render := func(int) *raster.Image { return raster.New(4, 4) }
+	cases := map[string]func() (*Display, error){
+		"no frames":     func() (*Display, error) { return NewRenderedDisplay(0, 4, 4, render, 10, 0) },
+		"zero width":    func() (*Display, error) { return NewRenderedDisplay(3, 0, 4, render, 10, 0) },
+		"negative size": func() (*Display, error) { return NewRenderedDisplay(3, 4, -1, render, 10, 0) },
+		"nil renderer":  func() (*Display, error) { return NewRenderedDisplay(3, 4, 4, nil, 10, 0) },
+		"zero rate":     func() (*Display, error) { return NewRenderedDisplay(3, 4, 4, render, 0, 0) },
+	}
+	for name, mk := range cases {
+		if _, err := mk(); err == nil {
+			t.Errorf("%s: display accepted", name)
+		}
+	}
+	d, err := NewRenderedDisplay(3, 5, 4, func(int) *raster.Image { return raster.New(5, 4) }, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, h := d.Size(); w != 5 || h != 4 || d.NumFrames() != 3 || d.Resident() != 0 {
+		t.Fatalf("Size %dx%d, NumFrames %d, Resident %d", w, h, d.NumFrames(), d.Resident())
+	}
+}
+
+// countingDisplay is a rendered display of n 4x4 frames whose renderer
+// counts its calls per frame index.
+func countingDisplay(t *testing.T, n int, rate float64) (*Display, []int) {
+	t.Helper()
+	renders := make([]int, n)
+	d, err := NewRenderedDisplay(n, 4, 4, func(i int) *raster.Image {
+		renders[i]++
+		return raster.New(4, 4)
+	}, rate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, renders
+}
+
+func TestRenderedDisplayRendersOnDemand(t *testing.T) {
+	d, renders := countingDisplay(t, 4, 10)
+	f := d.Frame(2)
+	if d.Frame(2) != f || renders[2] != 1 || d.Resident() != 1 {
+		t.Fatalf("second Frame(2) call: renders %v, resident %d", renders, d.Resident())
+	}
+	if renders[0] != 0 || renders[1] != 0 || renders[3] != 0 {
+		t.Fatalf("frames rendered before they were asked for: %v", renders)
+	}
+}
+
+func TestReleaseDropsOnlyPassedFrames(t *testing.T) {
+	d, renders := countingDisplay(t, 4, 10) // switches at 100, 200, 300 ms
+	d.Transition = 20 * time.Millisecond
+	for i := range 4 {
+		d.Frame(i)
+	}
+	// Before the start and at frame 0 nothing has passed.
+	d.Release(-time.Millisecond)
+	d.Release(50 * time.Millisecond)
+	if d.Resident() != 4 {
+		t.Fatalf("resident %d after releasing before frame 1, want 4", d.Resident())
+	}
+	// Inside frame 2's transition the panel still shows frame 1.
+	d.Release(210 * time.Millisecond)
+	if d.Resident() != 3 || d.frames[0] != nil || d.frames[1] == nil {
+		t.Fatalf("resident %d after 210ms, want frames 1-3", d.Resident())
+	}
+	// Once the transition is over frame 1 goes too.
+	d.Release(220 * time.Millisecond)
+	if d.Resident() != 2 || d.frames[1] != nil {
+		t.Fatalf("resident %d after 220ms, want frames 2-3", d.Resident())
+	}
+	// A frame asked for again after its release is drawn again and
+	// released again.
+	d.Frame(0)
+	if renders[0] != 2 || d.Resident() != 3 {
+		t.Fatalf("re-render: renders %v, resident %d", renders, d.Resident())
+	}
+	d.Release(d.End())
+	if d.Resident() != 0 {
+		t.Fatalf("resident %d after the end, want 0", d.Resident())
+	}
+	for i, f := range d.frames {
+		if f != nil {
+			t.Errorf("frame %d still held after the end", i)
+		}
+	}
+}
+
+func TestReleaseKeepsCallerFrames(t *testing.T) {
+	fs := frames(3)
+	d, err := NewDisplay(fs, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Release(d.End())
+	for i := range fs {
+		if d.Frame(i) != fs[i] {
+			t.Fatalf("slice-backed frame %d released", i)
+		}
+	}
+	if d.Resident() != 0 {
+		t.Fatalf("slice-backed display reports %d resident frames", d.Resident())
+	}
+}

@@ -136,9 +136,14 @@ func (sp SessionSpec) withDefaults() SessionSpec {
 			sp.Channel.Seed = seed
 		}
 	}
+	// Each camera field defaults on its own: a spec may set the rate and
+	// leave the readout to the default, or the other way round.
+	def := camera.Default()
 	if sp.CamRateFPS <= 0 {
-		def := camera.Default()
-		sp.CamRateFPS, sp.CamReadout = def.RateFPS, def.ReadoutFraction
+		sp.CamRateFPS = def.RateFPS
+	}
+	if sp.CamReadout <= 0 {
+		sp.CamReadout = def.ReadoutFraction
 	}
 	return sp
 }

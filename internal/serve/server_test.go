@@ -193,6 +193,32 @@ func TestServerEndToEndTransport(t *testing.T) {
 	}
 }
 
+// TestCameraFieldsDefaultIndependently: a spec that sets the camera rate
+// and leaves the readout unset (or the other way round) gets the default
+// for the missing field and delivers bit-exact through a server, rather
+// than failing camera validation ("readout fraction 0.00").
+func TestCameraFieldsDefaultIndependently(t *testing.T) {
+	rateOnly := propSpec("", "off")
+	rateOnly.CamRateFPS = 60
+	readoutOnly := propSpec("", "off")
+	readoutOnly.CamReadout = 0.6
+	for name, spec := range map[string]SessionSpec{"rate only": rateOnly, "readout only": readoutOnly} {
+		s := NewServer(Config{Workers: 1})
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", name, err)
+		}
+		s.Drain()
+		payload, _, err := s.Result(id)
+		if err != nil {
+			t.Fatalf("%s: transfer failed: %v", name, err)
+		}
+		if !bytes.Equal(payload, spec.Payload) {
+			t.Fatalf("%s: payload not bit-exact through the server", name)
+		}
+	}
+}
+
 // TestCancelStopsASession pins that cancelation terminates without
 // further rounds and reports ErrCanceled.
 func TestCancelStopsASession(t *testing.T) {

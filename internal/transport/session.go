@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"rainbar/internal/camera"
@@ -264,9 +265,16 @@ func (s *Session) faultDelta(stats *Stats, base map[string]int, dropBase int) {
 // displayed frames keep consecutive tracking-bar colors. Decode failures
 // reported by the receiver are classified into stats; when comb is
 // non-nil, failed frames' soft tables are fused across rounds.
+//
+// The round is a stream: it encodes every frame's cells up front (they are
+// small), but the display renders each frame only when the camera's scan
+// first shows it and recycles it once the scan has passed, and the
+// receiver decodes the captures in windows as they are filmed, recycling
+// each window after the merge. A round therefore holds a few frames and
+// one window of captures whatever its frame count.
 func (s *Session) sendRound(fc FileCodec, data []byte, chunks []int, nextSeq *uint16, collector *Collector, comb *combiner, rate float64, stats *Stats) (framesSent int, airTime time.Duration, err error) {
 	nChunks := fc.NumChunks(len(data))
-	frames := make([]*raster.Image, 0, len(chunks))
+	frames := make([]*core.Frame, 0, len(chunks))
 	// seqChunk maps this round's frame sequence numbers back to chunk
 	// indices: a failed frame has no decodable chunk prefix, so combining
 	// keys its soft table by the chunk the sender put at that sequence.
@@ -282,36 +290,50 @@ func (s *Session) sendRound(fc FileCodec, data []byte, chunks []int, nextSeq *ui
 		}
 		seqChunk[*nextSeq] = ci
 		*nextSeq = (*nextSeq + 1) & 0x7FFF
-		frames = append(frames, f.Render())
+		frames = append(frames, f)
 	}
 
-	disp, err := screen.NewDisplay(frames, rate, 0)
+	g := s.Codec.Geometry()
+	w, h := g.Cols()*g.BlockSize(), g.Rows()*g.BlockSize() // what Frame.Render paints
+	disp, err := screen.NewRenderedDisplay(len(frames), w, h, func(i int) *raster.Image { return frames[i].Render() }, rate, 0)
 	if err != nil {
 		return 0, 0, fmt.Errorf("transport: %w", err)
 	}
 	disp.Transition = screen.DefaultTransition
 
-	caps, err := s.Link.Camera.Film(disp, s.Link.Channel)
+	rx := core.NewReceiver(s.Codec)
+	// Batched ingest parallelizes the per-capture grid decodes while keeping
+	// merge order — and therefore every error and frame — identical to
+	// sequential Ingest calls, for any window. The window is the one
+	// IngestBatch itself works in.
+	window := make([]*raster.Image, 0, 2*runtime.GOMAXPROCS(0))
+	decode := func() {
+		for _, err := range rx.IngestBatch(window) {
+			// Individual captures may fail; the stream continues, but the
+			// failure class feeds the degradation policy's accounting.
+			if err != nil {
+				class := core.ClassifyFailure(err)
+				stats.addFailure(class)
+				s.recordFailure(class)
+			}
+		}
+		// The receiver keeps no reference to a capture.
+		for _, img := range window {
+			raster.Recycle(img)
+		}
+		window = window[:0]
+	}
+	err = s.Link.Camera.FilmEach(disp, s.Link.Channel, func(c camera.Capture) error {
+		window = append(window, c.Image)
+		if len(window) == cap(window) {
+			decode()
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("transport: %w", err)
 	}
-	rx := core.NewReceiver(s.Codec)
-	imgs := make([]*raster.Image, len(caps))
-	for i := range caps {
-		imgs[i] = caps[i].Image
-	}
-	// Batched ingest parallelizes the per-capture grid decodes while keeping
-	// merge order — and therefore every error and frame — identical to
-	// sequential Ingest calls.
-	for _, err := range rx.IngestBatch(imgs) {
-		// Individual captures may fail; the stream continues, but the
-		// failure class feeds the degradation policy's accounting.
-		if err != nil {
-			class := core.ClassifyFailure(err)
-			stats.addFailure(class)
-			s.recordFailure(class)
-		}
-	}
+	decode()
 	rx.Flush()
 	attempts, wins := rx.RecoveryStats()
 	stats.addLadder(attempts, wins)

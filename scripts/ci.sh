@@ -7,7 +7,11 @@
 # race step protects the parallel experiment engine, the two-stage
 # capture kernel and the sharded metrics recorder; the capture-identity
 # gate holds that kernel byte-identical to its whole-frame reference at
-# every CPU count; the metrics smoke proves rainbar-bench can
+# every CPU count; the streaming-identity gate holds the streamed round
+# (frames rendered on demand, captures decoded in windows) identical to
+# the eager render-all, film-all round at every CPU count, and the
+# flat-memory gate holds a transfer's peak RSS flat in its frame count
+# (DESIGN.md §11); the metrics smoke proves rainbar-bench can
 # instrument a sweep end to end; the recovery
 # smoke proves the decode-recovery ablation runs under the full ladder
 # with cross-round combining; the allocation gate holds the steady-state
@@ -76,6 +80,18 @@ go test -race -run TestCrashMatrixBitIdentical ./internal/serve
 # CPUs and under the race detector (its sensor stage runs on a helper
 # goroutine).
 go test -race -cpu 1,2 -run 'TestFilmMatchesReference' ./internal/channel
+
+# Streaming-identity gate: a display that renders on demand, filmed
+# capture by capture through Camera.FilmEach, must yield exactly what Film
+# collects from pre-rendered frames, and a streamed transport round must
+# leave exactly what the eager round left, at 1 and 2 CPUs and under the
+# race detector (IngestBatch decodes each window on worker goroutines).
+go test -race -cpu 1,2 -run 'TestFilmEach|TestStreamedRoundMatchesEager|TestRenderedDisplay|TestRelease' \
+	./internal/screen ./internal/camera ./internal/transport
+
+# Flat-memory gate: one transfer's peak RSS (measured in a child process)
+# must not grow with its frame count.
+go test -count=1 -run 'TestRoundMemoryFlat' ./internal/transport
 
 # Allocation gate: the steady-state receiver benchmark must report
 # 0 allocs/op (TestReceiverSteadyStateAllocFree enforces the same
