@@ -381,7 +381,7 @@ func httpErr(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, serve.ErrSessionTerminal), errors.Is(err, serve.ErrSessionActive), errors.Is(err, serve.ErrCanceled):
 		status = http.StatusConflict
-	case errors.Is(err, serve.ErrBadSnapshot), errors.Is(err, serve.ErrSnapshotVersion), errors.Is(err, serve.ErrSnapshotChecksum):
+	case errors.Is(err, serve.ErrBadSpec), errors.Is(err, serve.ErrBadSnapshot), errors.Is(err, serve.ErrSnapshotVersion), errors.Is(err, serve.ErrSnapshotChecksum):
 		status = http.StatusBadRequest
 	}
 	http.Error(w, err.Error(), status)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -172,6 +173,73 @@ func TestAdminAPI(t *testing.T) {
 	}
 	if resp, _ := get(snapPath(admitted.ID)); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("snapshot of terminal session: %d", resp.StatusCode)
+	}
+}
+
+// TestAdminAPIRejectsBadSpecs: a spec that describes no valid transfer is
+// the client's fault, so Submit wraps serve.ErrBadSpec and the admin API
+// answers 400, while a valid spec next to them still delivers bit-exact.
+func TestAdminAPIRejectsBadSpecs(t *testing.T) {
+	rec := obs.NewMemory()
+	srv := serve.NewServer(serve.Config{MaxSessions: 8, Workers: 2, Recorder: rec})
+	defer srv.Stop()
+	ts := httptest.NewServer(adminMux(srv, rec))
+	defer ts.Close()
+
+	post := func(spec serve.SessionSpec) (int, []byte) {
+		t.Helper()
+		blob, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.Bytes()
+	}
+
+	payload := []byte("rainbar bad spec")
+	for _, tc := range []struct {
+		name string
+		spec serve.SessionSpec
+	}{
+		{"block 1", serve.SessionSpec{Payload: payload, ScreenW: 480, ScreenH: 270, Block: 1}},
+		{"recovery bogus", serve.SessionSpec{Payload: payload, Recovery: "bogus"}},
+		{"malformed faults", serve.SessionSpec{Payload: payload, Faults: "drop=lots"}},
+		{"MaxRounds -1", serve.SessionSpec{Payload: payload, MaxRounds: -1}},
+		{"DisplayRate 300", serve.SessionSpec{Payload: payload, DisplayRate: 300}},
+		{"empty payload", serve.SessionSpec{}},
+	} {
+		if _, err := srv.Submit(tc.spec); !errors.Is(err, serve.ErrBadSpec) {
+			t.Errorf("%s: Submit error %v, want serve.ErrBadSpec", tc.name, err)
+		}
+		if status, body := post(tc.spec); status != http.StatusBadRequest {
+			t.Errorf("%s: POST /sessions answered %d %q, want 400", tc.name, status, body)
+		}
+	}
+
+	status, body := post(serve.SessionSpec{Payload: payload, MaxRounds: 8})
+	if status != http.StatusOK {
+		t.Fatalf("valid spec: %d %q", status, body)
+	}
+	var admitted struct{ ID uint64 }
+	if err := json.Unmarshal(body, &admitted); err != nil {
+		t.Fatal(err)
+	}
+	srv.Quiesce()
+	resp, err := http.Get(ts.URL + "/sessions/" + jsonID(admitted.ID) + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got bytes.Buffer
+	got.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), payload) {
+		t.Fatalf("valid spec result: %d %q, want %q", resp.StatusCode, got.Bytes(), payload)
 	}
 }
 

@@ -195,6 +195,8 @@ type Channel struct {
 	cfg Config
 	rng *rand.Rand
 
+	kernel []float64 // the condition's defocus taps, once computed
+
 	// Faults is an optional injector chain run on every Capture after the
 	// photometric stage (nil disables). Fault decisions for capture k are a
 	// pure function of (chain seed, k) — see internal/faults — so they stay

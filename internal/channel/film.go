@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"rainbar/internal/colorspace"
 	"rainbar/internal/geometry"
@@ -73,12 +75,62 @@ func (ch *Channel) Photometric(img *raster.Image) *raster.Image {
 }
 
 // blurKernel returns the condition's Gaussian defocus taps, or nil when
-// blur is off.
+// blur is off. The taps are computed once per Channel.
 func (ch *Channel) blurKernel() []float64 {
-	if sigma := ch.cfg.effectiveBlurSigma(); sigma > 0 {
-		return gaussianKernel(sigma)
+	if ch.kernel == nil {
+		if sigma := ch.cfg.effectiveBlurSigma(); sigma > 0 {
+			ch.kernel = gaussianKernel(sigma)
+		}
 	}
-	return nil
+	return ch.kernel
+}
+
+// filmScratch is the capture kernel's working memory: both stages with
+// their row buffers, and the blur tables last built. A capture takes one
+// from filmPool and returns it, so a warm capture allocates only its
+// output image and its sensor goroutine's channels and closure. The pool,
+// rather than the Channel, holds the scratch between captures: a daemon
+// keeps a Channel for every session it still reports on, and would keep
+// a scratch for each.
+type filmScratch struct {
+	optics optics
+	sensor sensor
+	blur   *blur
+}
+
+var filmPool = sync.Pool{New: func() any { return new(filmScratch) }}
+
+// prepare readies the optical stage for a w x h capture through kernel
+// (nil: no defocus blur). It reuses every buffer that is large enough,
+// rebuilds the blur tables only when the taps change, and clears vrun,
+// the one buffer the stage reads before it writes.
+func (f *filmScratch) prepare(w, h int, kernel []float64) *optics {
+	o := &f.optics
+	o.w, o.h = w, h
+	o.src[0], o.src[1] = grow(o.src[0], w), grow(o.src[1], w)
+	o.blur = nil
+	if kernel == nil {
+		return o
+	}
+	if f.blur == nil || !slices.Equal(f.blur.kernel, kernel) {
+		f.blur = newBlur(slices.Clone(kernel))
+	}
+	o.blur = f.blur
+	o.ring = grow(o.ring, 3*len(kernel)*w)
+	o.vrun = grow(o.vrun, w)
+	clear(o.vrun)
+	o.base = grow(o.base, len(kernel))
+	o.vrow = grow(o.vrow, w)
+	return o
+}
+
+// grow returns s resized to n elements, reusing its storage when the
+// capacity allows. Contents are unspecified; callers overwrite or clear.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // scan films one w x h capture through the two-stage row pipeline. Its
@@ -93,7 +145,8 @@ func (ch *Channel) blurKernel() []float64 {
 // handles its rows sequentially, so the capture does not depend on
 // GOMAXPROCS or scheduling.
 func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float64) (*raster.Image, error) {
-	o := &optics{w: w, h: h, rows: rows, img: img, motion: ch.cfg.MotionBlurPx}
+	var inv geometry.Homography
+	var lens geometry.RadialDistortion
 	if rows != nil {
 		jx := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
 		jy := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
@@ -101,10 +154,10 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 		if err != nil {
 			return nil, fmt.Errorf("channel warp: %w", err)
 		}
-		if o.inv, err = hom.Inverse(); err != nil {
+		if inv, err = hom.Inverse(); err != nil {
 			return nil, fmt.Errorf("channel warp: %w", err)
 		}
-		o.lens = geometry.RadialDistortion{
+		lens = geometry.RadialDistortion{
 			Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
 			Norm:   math.Hypot(float64(w), float64(h)) / 2,
 			K1:     ch.cfg.LensK1,
@@ -114,21 +167,19 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 	if obs.Enabled(ch.Recorder) {
 		ch.Recorder.Inc(obs.MChannelPhotometric, 1)
 	}
-	if kernel != nil {
-		o.blur = newBlur(kernel)
-		o.ring = make([]float64, 3*len(kernel)*w)
-		o.vrun = make([]int32, w)
-		o.base = make([]int, len(kernel))
-		o.vrow = make([]colorspace.RGB, w)
-	}
-	o.src = [2][]colorspace.RGB{make([]colorspace.RGB, w), make([]colorspace.RGB, w)}
-	s := ch.newSensor(w, h)
+	f := filmPool.Get().(*filmScratch)
+	o := f.prepare(w, h, kernel)
+	o.rows, o.img, o.inv, o.lens, o.motion = rows, img, inv, lens, ch.cfg.MotionBlurPx
+	s := &f.sensor
+	ch.prepareSensor(s, w, h)
 	out := raster.New(w, h)
 	o.out, s.out = out, out
 
 	// The optical stage publishes each finished row on ready, which holds
 	// every row of the capture so the optical stage never waits. Closing it
 	// on every exit path ends the sensor goroutine, which done then joins.
+	// The scratch then lets go of the capture's frames, output and PRNG
+	// and goes back to the pool.
 	ready := make(chan int, h)
 	done := make(chan struct{})
 	go func() {
@@ -138,6 +189,8 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 	defer func() {
 		close(ready)
 		<-done
+		o.rows, o.img, o.out, s.out, s.rng = nil, nil, nil, nil, nil
+		filmPool.Put(f)
 	}()
 	o.run(ready)
 	return out, nil
@@ -490,22 +543,27 @@ type sensor struct {
 	bright, contrast, level float64
 
 	// coarse holds the chroma noise's per-patch draws, one plane per
-	// channel with cw columns; coarse[0] == nil disables chroma noise.
+	// channel with cw columns; an empty coarse[0] disables chroma noise.
 	coarse [3][]float64
 	cw     int
 	scale  int
 
 	sd    float64   // per-pixel noise standard deviation; <= 0 is off
-	noise []float64 // the current row's R,G,B draws
+	noise []float64 // the current row's R,G,B draws; empty when sd <= 0
 }
 
-// newSensor sets up the sensor stage of a w x h capture, drawing the
-// chroma grid from the PRNG.
-func (ch *Channel) newSensor(w, h int) *sensor {
-	s := &sensor{w: w, h: h, rng: ch.rng, bright: ch.cfg.ScreenBrightness, sd: ch.cfg.NoiseStdDev}
+// prepareSensor readies s as the sensor stage of a w x h capture under
+// the channel's condition, reusing its buffers, and draws the chroma grid
+// from the channel's PRNG.
+func (ch *Channel) prepareSensor(s *sensor, w, h int) {
+	s.w, s.h, s.rng, s.bright, s.sd = w, h, ch.rng, ch.cfg.ScreenBrightness, ch.cfg.NoiseStdDev
 	s.level, s.contrast = ch.cfg.Ambient.veil()
+	s.noise = s.noise[:0]
 	if s.sd > 0 {
-		s.noise = make([]float64, 3*w)
+		s.noise = grow(s.noise, 3*w)
+	}
+	for c := range s.coarse {
+		s.coarse[c] = s.coarse[c][:0]
 	}
 	if ch.cfg.ChromaNoiseStdDev > 0 {
 		s.scale = ch.cfg.ChromaNoiseScalePx
@@ -515,13 +573,12 @@ func (ch *Channel) newSensor(w, h int) *sensor {
 		s.cw = w/s.scale + 2
 		n := s.cw * (h/s.scale + 2)
 		for c := range s.coarse {
-			s.coarse[c] = make([]float64, n)
+			s.coarse[c] = grow(s.coarse[c], n)
 			for i := range s.coarse[c] {
 				s.coarse[c][i] = ch.rng.NormFloat64() * ch.cfg.ChromaNoiseStdDev
 			}
 		}
 	}
-	return s
 }
 
 // run finishes the capture's rows in scan order as ready delivers them.
@@ -542,7 +599,7 @@ func (s *sensor) run(ready <-chan int) {
 // finish applies the sensor model to output row y in place.
 func (s *sensor) finish(y int) {
 	row := s.out.Pix[y*s.w : (y+1)*s.w : (y+1)*s.w]
-	chroma := s.coarse[0] != nil
+	chroma := len(s.coarse[0]) > 0
 	var y0 int
 	var ty float64
 	if chroma {
@@ -575,7 +632,7 @@ func (s *sensor) finish(y int) {
 			cr, cg, cb = c[0]*gain, c[1]*gain, c[2]*gain
 		}
 		var nr, ng, nb float64
-		if s.noise != nil {
+		if len(s.noise) > 0 {
 			nr, ng, nb = s.noise[3*x], s.noise[3*x+1], s.noise[3*x+2]
 		}
 		row[x] = colorspace.RGB{

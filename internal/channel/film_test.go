@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -146,39 +147,48 @@ func genPlan(rng *rand.Rand, frames []*raster.Image, h int) []Row {
 	return rows
 }
 
-// run films the case through the kernel.
+// run films the case through the kernel on a fresh channel.
 func (c filmCase) run() (*raster.Image, *Channel, error) {
 	ch := MustNew(c.cfg)
+	out, err := c.runOn(ch)
+	return out, ch, err
+}
+
+// runOn films the case through the kernel on ch, whose condition it takes
+// instead of c.cfg.
+func (c filmCase) runOn(ch *Channel) (*raster.Image, error) {
 	switch {
 	case c.kernel != nil && c.kind == "photometric":
-		out, err := ch.scan(nil, c.img, c.img.W, c.img.H, c.kernel)
-		return out, ch, err
+		return ch.scan(nil, c.img, c.img.W, c.img.H, c.kernel)
 	case c.kernel != nil:
-		out, err := ch.scan(c.rows, nil, c.frames[0].W, len(c.rows), c.kernel)
-		return out, ch, err
+		return ch.scan(c.rows, nil, c.frames[0].W, len(c.rows), c.kernel)
 	case c.kind == "photometric":
-		return ch.Photometric(c.img), ch, nil
+		return ch.Photometric(c.img), nil
 	case c.kind == "capture":
-		out, err := ch.Capture(c.frames[0])
-		return out, ch, err
+		return ch.Capture(c.frames[0])
 	default:
-		out, err := ch.CaptureRows(c.rows)
-		return out, ch, err
+		return ch.CaptureRows(c.rows)
 	}
 }
 
 // reference films the case through the whole-frame reference pipeline.
 func (c filmCase) reference() (*raster.Image, *rand.Rand, error) {
 	rng := rand.New(rand.NewSource(c.cfg.Seed))
+	out, err := c.referenceOn(rng)
+	return out, rng, err
+}
+
+// referenceOn films the case through the reference pipeline, drawing from
+// rng.
+func (c filmCase) referenceOn(rng *rand.Rand) (*raster.Image, error) {
 	kernel := c.kernel
 	if kernel == nil {
 		kernel = MustNew(c.cfg).blurKernel()
 	}
 	if c.kind == "photometric" {
-		return refPhotometric(c.cfg, rng, c.img, kernel), rng, nil
+		return refPhotometric(c.cfg, rng, c.img, kernel), nil
 	}
-	out, err := refScan(c.cfg, rng, c.rows, kernel)
-	return out, rng, err
+	return refScan(c.cfg, rng, c.rows, kernel)
 }
 
 // checkIdentical films c both ways and fails unless the captures, the
@@ -187,6 +197,13 @@ func checkIdentical(t *testing.T, c filmCase) {
 	t.Helper()
 	got, ch, err := c.run()
 	want, rng, werr := c.reference()
+	checkSame(t, got, err, ch.rng, want, werr, rng)
+}
+
+// checkSame fails unless a kernel capture and a reference capture agree
+// in their error outcome, their pixels and the next draw of their PRNGs.
+func checkSame(t *testing.T, got *raster.Image, err error, grng *rand.Rand, want *raster.Image, werr error, rng *rand.Rand) {
+	t.Helper()
 	if (err == nil) != (werr == nil) {
 		t.Fatalf("kernel error %v, reference error %v", err, werr)
 	}
@@ -203,7 +220,7 @@ func checkIdentical(t *testing.T, c filmCase) {
 			}
 		}
 	}
-	if a, b := ch.rng.Int63(), rng.Int63(); a != b {
+	if a, b := grng.Int63(), rng.Int63(); a != b {
 		t.Fatalf("PRNG out of step after the capture: next draw %d, reference %d", a, b)
 	}
 }
@@ -274,6 +291,61 @@ func TestFilmMatchesReference(t *testing.T) {
 	if !seen.taps[0] || !seen.close || !seen.far || !seen.sigma0 || !seen.sumNot1 || !seen.motion ||
 		!seen.chroma || !seen.noiseOff || !seen.blend || !seen.black || !seen.narrow || !seen.short {
 		t.Errorf("generator missed a branch: %+v", seen)
+	}
+}
+
+// TestFilmReusesScratchAcrossCaptures: one Channel films a generated
+// sequence of row plans and Photometric images whose sizes (and, through
+// explicit taps, blur kernels) change from capture to capture, so the
+// pooled scratch is reused, regrown and rebuilt. Every capture, and the
+// PRNG position after it, equals the reference pipeline driven through
+// the same sequence from one PRNG.
+func TestFilmReusesScratchAcrossCaptures(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for seq := 0; seq < 24; seq++ {
+		cfg := genCase(rng).cfg
+		ch := MustNew(cfg)
+		ref := rand.New(rand.NewSource(cfg.Seed))
+		for i := 0; i < 10; i++ {
+			c := genCase(rng)
+			c.cfg = cfg
+			got, err := c.runOn(ch)
+			want, werr := c.referenceOn(ref)
+			t.Run(fmt.Sprintf("%d_%d_%s", seq, i, c.kind), func(t *testing.T) {
+				checkSame(t, got, err, ch.rng, want, werr, ref)
+			})
+		}
+	}
+}
+
+// TestFilmWarmCaptureAllocations: with the scratch pool warm, a capture
+// allocates only its output image (header and pixels), its sensor
+// goroutine's two channels and the goroutine's closure.
+func TestFilmWarmCaptureAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its cache at random under -race; the allocation bound is measured without it")
+	}
+	cfg := DefaultConfig()
+	cfg.ChromaNoiseStdDev = 4
+	ch := MustNew(cfg)
+	frame := testFrame()
+	rows := make([]Row, frame.H)
+	for y := range rows {
+		rows[y].B = frame
+	}
+	if _, err := ch.CaptureRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	// GC off: a collection would drain the pool, and the refill would
+	// count against the capture.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := ch.CaptureRows(rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 5 {
+		t.Fatalf("a warm capture allocates %v times, want at most 5", n)
 	}
 }
 

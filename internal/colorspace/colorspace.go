@@ -254,22 +254,9 @@ func (cl Classifier) ClassifyRGB(p RGB) Color {
 	if tv == 0 {
 		tv = DefaultTV
 	}
-	maxK := p.R
-	if p.G > maxK {
-		maxK = p.G
-	}
-	if p.B > maxK {
-		maxK = p.B
-	}
+	maxK, minK := p.maxMin()
 	if u8f[maxK] < tv { // V = maxc
 		return Black
-	}
-	minK := p.R
-	if p.G < minK {
-		minK = p.G
-	}
-	if p.B < minK {
-		minK = p.B
 	}
 	if whiteTab[int(maxK)<<8|int(minK)] {
 		return White
@@ -306,23 +293,10 @@ func (cl Classifier) ClassifyRGBSoft(p RGB) (Color, float64) {
 	if tv == 0 {
 		tv = DefaultTV
 	}
-	maxK := p.R
-	if p.G > maxK {
-		maxK = p.G
-	}
-	if p.B > maxK {
-		maxK = p.B
-	}
+	maxK, minK := p.maxMin()
 	maxc := u8f[maxK]
 	if maxc < tv { // V = maxc
 		return Black, clamp01((tv - maxc) / tv)
-	}
-	minK := p.R
-	if p.G < minK {
-		minK = p.G
-	}
-	if p.B < minK {
-		minK = p.B
 	}
 	delta := maxc - u8f[minK]
 	vMargin := 1.0

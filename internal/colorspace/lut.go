@@ -69,14 +69,24 @@ func init() {
 // Value returns the HSV value channel of p, bit-identical to p.ToHSV().V,
 // without the rest of the conversion.
 func (c RGB) Value() float64 {
-	maxK := c.R
-	if c.G > maxK {
-		maxK = c.G
-	}
-	if c.B > maxK {
-		maxK = c.B
-	}
+	maxK, _ := c.maxMin()
 	return u8f[maxK]
+}
+
+// maxMin returns the largest and the smallest channel of c without a
+// data-dependent branch: Go compiles a byte max or min to compare-and-jump,
+// which noisy pixels mispredict (see Below). For an int d, d&(d>>63) is d
+// when d is negative and 0 otherwise, so adding or subtracting it selects.
+func (c RGB) maxMin() (hi, lo uint8) {
+	r, g, b := int(c.R), int(c.G), int(c.B)
+	d := r - g
+	d &= d >> 63
+	h, l := r-d, g+d // max(r, g), min(r, g)
+	d = h - b
+	h -= d & (d >> 63)
+	d = b - l
+	l += d & (d >> 63)
+	return uint8(h), uint8(l)
 }
 
 // Below reports whether every channel of c is below limit, that is whether

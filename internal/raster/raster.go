@@ -13,93 +13,18 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sync"
 
 	"rainbar/internal/colorspace"
 )
 
-// RowTask is a value whose RunRows processes the contiguous row band
-// [y0, y1). Hot-path code implements RowTask on a pooled struct instead of
-// capturing state in a closure, which would escape to the heap on every
-// call, even on a single-CPU host where the band runs inline.
-type RowTask interface {
-	RunRows(y0, y1 int)
-}
-
-// bandJob is one row band of a RowTask, sent by value to the persistent
-// band workers.
-type bandJob struct {
-	t      RowTask
-	y0, y1 int
-	wg     *sync.WaitGroup
-}
-
-var (
-	bandOnce sync.Once
-	bandJobs chan bandJob
-	wgPool   = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
-)
-
-func startBandWorkers() {
-	// One fewer worker than CPUs: the submitting goroutine always runs the
-	// first band itself, so n CPUs stay busy with n-1 helpers. At least one
-	// helper always starts, so queued bands drain (and wg.Wait returns)
-	// even if GOMAXPROCS grows after the pool is up.
-	n := runtime.GOMAXPROCS(0) - 1
-	if n < 1 {
-		n = 1
-	}
-	bandJobs = make(chan bandJob, 4*(n+1))
-	for i := 0; i < n; i++ {
-		go func() {
-			for j := range bandJobs {
-				j.t.RunRows(j.y0, j.y1)
-				j.wg.Done()
-			}
-		}()
-	}
-}
-
-// ParallelRowTasks splits [0, h) into contiguous bands, one per available
-// CPU, and runs t.RunRows on each band concurrently via a persistent
-// worker pool — no goroutine spawn and no allocation per call. RunRows
-// must write only rows inside its own band and compute each row
-// independently, so results are identical for any worker count. RunRows
-// must not itself call ParallelRowTasks (the shared workers would
-// deadlock). With a single CPU (or a single row) the whole range runs
-// inline on the caller's goroutine.
-func ParallelRowTasks(h int, t RowTask) {
-	workers := min(runtime.GOMAXPROCS(0), h)
-	if workers <= 1 {
-		if h > 0 {
-			t.RunRows(0, h)
-		}
-		return
-	}
-	bandOnce.Do(startBandWorkers)
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for w := 1; w < workers; w++ {
-		y0, y1 := w*h/workers, (w+1)*h/workers
-		if y0 == y1 {
-			continue
-		}
-		wg.Add(1)
-		bandJobs <- bandJob{t: t, y0: y0, y1: y1, wg: wg}
-	}
-	// Band 0 runs inline, overlapping the helpers.
-	t.RunRows(0, h/workers)
-	wg.Wait()
-	wgPool.Put(wg)
-}
-
-// floatPool recycles Sharpness's float scratch (per-row sums and luma
-// rows), keeping it allocation-free in steady state. getFloats returns a
-// slice of length n with undefined contents: callers overwrite every
-// element they read, and pair it with putFloats. boxPool recycles the
-// *[]float64 headers the pool stores, so a get/put round trip is
-// allocation-free after warmup — the naive floatPool.Put(&b) would
-// heap-allocate a fresh header every call.
+// floatPool recycles Sharpness's float scratch (two luma rows), keeping
+// it allocation-free in steady state. getFloats returns a slice of length
+// n with undefined contents: callers overwrite every element they read,
+// and pair it with putFloats. boxPool recycles the *[]float64 headers the
+// pool stores, so a get/put round trip is allocation-free after warmup —
+// the naive floatPool.Put(&b) would heap-allocate a fresh header every
+// call.
 var (
 	floatPool sync.Pool
 	boxPool   sync.Pool
@@ -323,73 +248,78 @@ func (img *Image) MeanFilterAt(x, y int) colorspace.RGB {
 // vertical luminance gradient. COBRA's blur assessment (§III-D) selects,
 // among captures of the same frame, the one with the highest sharpness.
 //
-// Rows are scored in parallel; each row accumulates its own partial sum
-// and the partials are reduced in row order, so the (fixed) floating-point
-// association is independent of the worker count. The task struct and all
-// scratch are pooled: steady-state calls do not allocate.
+// One serial pass scores sharpRows output rows at a time, computing the
+// luma of the pixel rows below them inline. Each row keeps its own
+// accumulator, advanced in x order, and the row sums are added in row
+// order, so the result is bit-identical to scoring one row at a time.
+// Only the luma of a block's last row carries over to the next block, in
+// a pooled scratch: steady-state calls do not allocate.
 func (img *Image) Sharpness() float64 {
-	if img.W < 2 || img.H < 2 {
+	w, h := img.W, img.H
+	if w < 2 || h < 2 {
 		return 0
 	}
-	t, _ := sharpPool.Get().(*sharpTask)
-	if t == nil {
-		t = new(sharpTask)
-	}
-	t.img = img
-	t.rowSums = getFloats(img.H - 1)
-	ParallelRowTasks(img.H-1, t)
-	var sum float64
-	for _, s := range t.rowSums {
-		sum += s
-	}
-	putFloats(t.rowSums)
-	t.img, t.rowSums = nil, nil
-	sharpPool.Put(t)
-	return sum / float64((img.W-1)*(img.H-1))
-}
-
-var sharpPool sync.Pool
-
-// sharpTask scores rows [y0, y1) of img into rowSums. Each band keeps two
-// pooled luma rows and rolls them downward, so every pixel's luma is
-// evaluated twice per call (once as the "current" row, once as the row
-// below) instead of three times in the naive form — with the identical
-// per-row accumulation order, so the result is bit-equal to the original
-// serial loop.
-type sharpTask struct {
-	img     *Image
-	rowSums []float64
-}
-
-func (t *sharpTask) RunRows(y0, y1 int) {
-	img := t.img
-	w := img.W
+	// The carried luma row starts at scratch[off]; the next one is written
+	// to the other half.
 	scratch := getFloats(2 * w)
-	cur, next := scratch[:w], scratch[w:]
-	lumaRow(img.Pix[y0*w:(y0+1)*w:(y0+1)*w], cur)
-	for y := y0; y < y1; y++ {
-		lumaRow(img.Pix[(y+1)*w:(y+2)*w:(y+2)*w], next)
-		var sum float64
-		l := cur[0]
-		for x := 0; x < w-1; x++ {
-			lr := cur[x+1]
-			gx := lr - l
-			gy := next[x] - l
-			sum += gx*gx + gy*gy
-			l = lr
+	off := 0
+	for x, p := range img.Pix[:w] {
+		scratch[x] = luma(p)
+	}
+	var total float64
+	y := 0
+	for ; y+sharpRows < h; y += sharpRows {
+		// Output rows y..y+3 read pixel rows y+1..y+4; row y's luma is top.
+		top, next := scratch[off:off+w], scratch[w-off:][:w]
+		r1 := img.Pix[(y+1)*w : (y+2)*w]
+		r2 := img.Pix[(y+2)*w : (y+3)*w]
+		r3 := img.Pix[(y+3)*w : (y+4)*w]
+		r4 := img.Pix[(y+4)*w : (y+5)*w]
+		l0, l1, l2, l3, l4 := top[0], luma(r1[0]), luma(r2[0]), luma(r3[0]), luma(r4[0])
+		next[0] = l4
+		var s0, s1, s2, s3 float64
+		for x := 1; x < w; x++ {
+			n0, n1, n2, n3, n4 := top[x], luma(r1[x]), luma(r2[x]), luma(r3[x]), luma(r4[x])
+			next[x] = n4
+			gx, gy := n0-l0, l1-l0
+			s0 += gx*gx + gy*gy
+			gx, gy = n1-l1, l2-l1
+			s1 += gx*gx + gy*gy
+			gx, gy = n2-l2, l3-l2
+			s2 += gx*gx + gy*gy
+			gx, gy = n3-l3, l4-l3
+			s3 += gx*gx + gy*gy
+			l0, l1, l2, l3, l4 = n0, n1, n2, n3, n4
 		}
-		t.rowSums[y] = sum
-		cur, next = next, cur
+		total += s0
+		total += s1
+		total += s2
+		total += s3
+		off = w - off
+	}
+	// The (h-1) mod sharpRows rows left over run one at a time.
+	for ; y+1 < h; y++ {
+		top, next := scratch[off:off+w], scratch[w-off:][:w]
+		below := img.Pix[(y+1)*w : (y+2)*w]
+		l0, l1 := top[0], luma(below[0])
+		next[0] = l1
+		var s float64
+		for x := 1; x < w; x++ {
+			n0, n1 := top[x], luma(below[x])
+			next[x] = n1
+			gx, gy := n0-l0, l1-l0
+			s += gx*gx + gy*gy
+			l0, l1 = n0, n1
+		}
+		total += s
+		off = w - off
 	}
 	putFloats(scratch)
+	return total / float64((w-1)*(h-1))
 }
 
-// lumaRow writes luma(row[x]) into dst[x] using the per-channel tables.
-func lumaRow(row []colorspace.RGB, dst []float64) {
-	for x, p := range row {
-		dst[x] = (lumaR[p.R] + lumaG[p.G]) + lumaB[p.B]
-	}
-}
+// sharpRows is the number of output rows one Sharpness pass scores.
+const sharpRows = 4
 
 // lumaR/lumaG/lumaB cache the per-channel Rec. 601 terms. The sum
 // (lumaR[r]+lumaG[g])+lumaB[b] reproduces the left-associated expression

@@ -180,21 +180,87 @@ func sharpnessRef(img *Image) float64 {
 	return sum / float64((img.W-1)*(img.H-1))
 }
 
-func TestSharpnessMatchesReference(t *testing.T) {
-	sizes := [][2]int{{2, 2}, {3, 7}, {17, 5}, {64, 48}, {640, 360}}
-	for _, sz := range sizes {
-		img := New(sz[0], sz[1])
-		seed := uint32(12345)
-		for i := range img.Pix {
-			seed = seed*1664525 + 1013904223
-			img.Pix[i] = colorspace.RGB{
-				R: uint8(seed >> 24), G: uint8(seed >> 16), B: uint8(seed >> 8),
-			}
-		}
-		if got, want := img.Sharpness(), sharpnessRef(img); got != want {
-			t.Fatalf("%dx%d: Sharpness() = %v, reference = %v", sz[0], sz[1], got, want)
+// sharpnessImage fills a w x h image with one of the content kinds the
+// Sharpness identity is checked on: uniform-random pixels, code colours
+// plus noise, one random colour everywhere, all 0 and all 255.
+func sharpnessImage(rng *rand.Rand, w, h, kind int) *Image {
+	img := New(w, h)
+	codes := []colorspace.RGB{
+		colorspace.RGBWhite, colorspace.RGBRed,
+		colorspace.RGBGreen, colorspace.RGBBlue, colorspace.RGBBlack,
+	}
+	noisy := func(v uint8) uint8 {
+		return uint8(min(max(int(v)+rng.Intn(61)-30, 0), 255))
+	}
+	c := colorspace.RGB{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256))}
+	for i := range img.Pix {
+		switch kind {
+		case 0:
+			img.Pix[i] = colorspace.RGB{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256))}
+		case 1:
+			p := codes[rng.Intn(len(codes))]
+			img.Pix[i] = colorspace.RGB{R: noisy(p.R), G: noisy(p.G), B: noisy(p.B)}
+		case 2:
+			img.Pix[i] = c
+		case 3:
+			img.Pix[i] = colorspace.RGBBlack
+		default:
+			img.Pix[i] = colorspace.RGB{R: 255, G: 255, B: 255}
 		}
 	}
+	return img
+}
+
+// TestSharpnessMatchesReference: Sharpness reproduces sharpnessRef bit for
+// bit on every size from 2x2 to 70x70 (so every (H-1) mod 4 tail and W = 2
+// occur) and at 640x360, for every content kind. The calls run large,
+// then small in shuffled order, then large again, so a stale row left in
+// the pooled scratch by a larger image would show.
+func TestSharpnessMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	type size struct{ w, h int }
+	sizes := []size{{640, 360}}
+	for w := 2; w <= 70; w++ {
+		for h := 2; h <= 70; h++ {
+			sizes = append(sizes, size{w, h})
+		}
+	}
+	rng.Shuffle(len(sizes)-1, func(i, j int) { sizes[i+1], sizes[j+1] = sizes[j+1], sizes[i+1] })
+	sizes = append(sizes, size{640, 360})
+	const kinds = 5
+	for i, sz := range sizes {
+		kind := i % kinds
+		img := sharpnessImage(rng, sz.w, sz.h, kind)
+		if got, want := img.Sharpness(), sharpnessRef(img); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%dx%d kind %d: Sharpness() = %v, reference = %v", sz.w, sz.h, kind, got, want)
+		}
+	}
+	for kind := 0; kind < kinds; kind++ {
+		img := sharpnessImage(rng, 640, 360, kind)
+		if got, want := img.Sharpness(), sharpnessRef(img); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("640x360 kind %d: Sharpness() = %v, reference = %v", kind, got, want)
+		}
+	}
+}
+
+// FuzzSharpness checks Sharpness against sharpnessRef on a w x h image
+// (each side 2..70) whose pixels repeat the fuzzed bytes (all black when
+// there are none). The checked-in corpus (testdata/fuzz/FuzzSharpness) has
+// one entry per (H-1) mod 4 tail length: 5x69, 2x2, 70x3 and 9x40.
+func FuzzSharpness(f *testing.F) {
+	f.Fuzz(func(t *testing.T, wb, hb uint8, pix []byte) {
+		w, h := 2+int(wb)%69, 2+int(hb)%69
+		img := New(w, h)
+		if len(pix) > 0 {
+			for i := range img.Pix {
+				k := 3 * i
+				img.Pix[i] = colorspace.RGB{R: pix[k%len(pix)], G: pix[(k+1)%len(pix)], B: pix[(k+2)%len(pix)]}
+			}
+		}
+		if got, want := img.Sharpness(), sharpnessRef(img); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%dx%d: Sharpness() = %v, reference = %v", w, h, got, want)
+		}
+	})
 }
 
 func TestSharpnessAllocFree(t *testing.T) {
@@ -208,35 +274,6 @@ func TestSharpnessAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if n := testing.AllocsPerRun(50, func() { img.Sharpness() }); n > 0 {
 		t.Fatalf("Sharpness allocates %v per call after warmup", n)
-	}
-}
-
-// rowFillTask writes the band's row index into every cell of its rows.
-type rowFillTask struct {
-	w   int
-	out []int
-}
-
-func (t *rowFillTask) RunRows(y0, y1 int) {
-	for y := y0; y < y1; y++ {
-		for x := 0; x < t.w; x++ {
-			t.out[y*t.w+x] = y
-		}
-	}
-}
-
-func TestParallelRowTasksCoversAllRows(t *testing.T) {
-	for _, h := range []int{0, 1, 2, 7, 64, 361} {
-		task := &rowFillTask{w: 5, out: make([]int, 5*h)}
-		for i := range task.out {
-			task.out[i] = -1
-		}
-		ParallelRowTasks(h, task)
-		for i, v := range task.out {
-			if v != i/5 {
-				t.Fatalf("h=%d: cell %d = %d, want %d", h, i, v, i/5)
-			}
-		}
 	}
 }
 

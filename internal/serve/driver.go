@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rainbar/internal/camera"
@@ -92,34 +93,38 @@ const (
 
 func (f transportFactory) newSession(spec SessionSpec) (*transport.Session, *faults.Chain, error) {
 	if spec.ScreenW <= 0 || spec.ScreenW > maxSpecScreenPx || spec.ScreenH <= 0 || spec.ScreenH > maxSpecScreenPx {
-		return nil, nil, fmt.Errorf("serve: spec screen %dx%d outside (0, %d]", spec.ScreenW, spec.ScreenH, maxSpecScreenPx)
+		return nil, nil, fmt.Errorf("%w: screen %dx%d outside (0, %d]", ErrBadSpec, spec.ScreenW, spec.ScreenH, maxSpecScreenPx)
 	}
 	if len(spec.Payload) > maxSpecPayload {
-		return nil, nil, fmt.Errorf("serve: spec payload %d bytes exceeds %d", len(spec.Payload), maxSpecPayload)
+		return nil, nil, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrBadSpec, len(spec.Payload), maxSpecPayload)
 	}
 	if spec.MaxRounds < 0 || spec.MaxRounds > 1<<16 {
-		return nil, nil, fmt.Errorf("serve: spec MaxRounds %d outside [0, %d]", spec.MaxRounds, 1<<16)
+		return nil, nil, fmt.Errorf("%w: MaxRounds %d outside [0, %d]", ErrBadSpec, spec.MaxRounds, 1<<16)
+	}
+	// Frame headers carry the display rate in one byte.
+	if !(spec.DisplayRate > 0 && spec.DisplayRate <= math.MaxUint8) {
+		return nil, nil, fmt.Errorf("%w: DisplayRate %v outside (0, %d]", ErrBadSpec, spec.DisplayRate, math.MaxUint8)
 	}
 	geo, err := layout.NewGeometry(spec.ScreenW, spec.ScreenH, spec.Block)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: spec geometry: %w", err)
+		return nil, nil, fmt.Errorf("%w: geometry: %w", ErrBadSpec, err)
 	}
 	ccfg := core.Config{Geometry: geo, DisplayRate: uint8(spec.DisplayRate)}
 	mode := transport.RecoveryOff
 	if spec.Recovery != "" {
 		mode, err = transport.ParseRecoveryMode(spec.Recovery)
 		if err != nil {
-			return nil, nil, fmt.Errorf("serve: spec recovery: %w", err)
+			return nil, nil, fmt.Errorf("%w: recovery: %w", ErrBadSpec, err)
 		}
 	}
 	combine := mode.Configure(&ccfg)
 	codec, err := core.NewCodec(ccfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: spec codec: %w", err)
+		return nil, nil, fmt.Errorf("%w: codec: %w", ErrBadSpec, err)
 	}
 	chain, err := faults.ParseSpec(spec.Faults)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: spec faults: %w", err)
+		return nil, nil, fmt.Errorf("%w: faults: %w", ErrBadSpec, err)
 	}
 	sess := &transport.Session{
 		Codec:          codec,
@@ -142,7 +147,7 @@ func (d *transportDriver) relink(round int) error {
 	ccfg.Seed = mixSeed(d.spec.Channel.Seed, round, saltChannel)
 	ch, err := channel.New(ccfg)
 	if err != nil {
-		return fmt.Errorf("serve: spec channel: %w", err)
+		return fmt.Errorf("%w: channel: %w", ErrBadSpec, err)
 	}
 	cam := camera.Camera{
 		RateFPS:         d.spec.CamRateFPS,
@@ -168,7 +173,7 @@ func (f transportFactory) New(spec SessionSpec) (Driver, error) {
 	}
 	x, err := sess.Begin(spec.Payload)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	d.x = x
 	return d, nil

@@ -80,6 +80,8 @@ var (
 	ErrSessionActive = errors.New("serve: session still active")
 	// ErrCanceled is the terminal error of a canceled session.
 	ErrCanceled = errors.New("serve: session canceled")
+	// ErrBadSpec rejects a session spec that describes no valid transfer.
+	ErrBadSpec = errors.New("serve: bad session spec")
 )
 
 // SessionSpec fully describes one transfer session: payload, geometry,

@@ -34,6 +34,7 @@ package rainbar
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"rainbar/internal/camera"
 	"rainbar/internal/channel"
@@ -158,6 +159,10 @@ func New(opts ...Option) (*Codec, error) {
 	cfg := defaults()
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	// Frame headers carry the display rate in one byte.
+	if cfg.displayRate < 1 || cfg.displayRate > math.MaxUint8 {
+		return nil, fmt.Errorf("rainbar: display rate %d fps outside 1..%d", cfg.displayRate, math.MaxUint8)
 	}
 	geo, err := layout.NewGeometry(cfg.screenW, cfg.screenH, cfg.blockSize)
 	if err != nil {

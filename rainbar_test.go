@@ -30,6 +30,22 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsDisplayRateOutOfRange: frame headers carry the display
+// rate in one byte, so a rate outside 1..255 is an error rather than a
+// header that silently advertises the rate mod 256.
+func TestNewRejectsDisplayRateOutOfRange(t *testing.T) {
+	for _, fps := range []int{-1, 0, 256, 300} {
+		if _, err := rainbar.New(rainbar.WithDisplayRate(fps)); err == nil {
+			t.Errorf("WithDisplayRate(%d) accepted", fps)
+		}
+	}
+	for _, fps := range []int{1, 255} {
+		if _, err := rainbar.New(rainbar.WithDisplayRate(fps)); err != nil {
+			t.Errorf("WithDisplayRate(%d): %v", fps, err)
+		}
+	}
+}
+
 func TestNewFromOptionsShim(t *testing.T) {
 	// The deprecated struct constructor must build codecs identical to the
 	// functional-option path, including the zero-value defaults.

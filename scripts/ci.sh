@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI verify recipe: build (all CLIs included), vet, the repo's own
+# CI verify recipe: build (all CLIs included), vet, a gofmt gate (any
+# file gofmt would change fails the build), the repo's own
 # contract analyzers (rainbar-lint, DESIGN.md §8), tests, the full suite
 # under the race detector, a metrics smoke run, then a short fuzz smoke
 # pass. The lint gate fails the build on any determinism /
@@ -20,7 +21,8 @@
 # BENCH_<n>.json) runs end to end; the serve soak and loadtest smoke
 # gate the multi-session daemon (DESIGN.md §12); the fuzz steps
 # keep the decode paths panic-free on corrupt input and hold the blob
-# labeler identical to its flood-fill reference (Go runs one fuzz
+# labeler identical to its flood-fill reference and the fused Sharpness
+# kernel identical to its row-at-a-time reference (Go runs one fuzz
 # target per invocation, hence one line each). Set CI_FUZZ=0 to skip the
 # fuzz smoke locally and keep the build+lint+test gate fast. Run before
 # every merge.
@@ -37,6 +39,7 @@ go build -o /dev/null ./cmd/rainbar-debug
 go build -o /dev/null ./cmd/rainbar-lint
 go build -o /dev/null ./cmd/rainbar-serve
 go vet ./...
+test -z "$(gofmt -l .)"
 
 # Lint gates, each timed against the <10s budget the interprocedural
 # engine is held to: the -json gate is the machine-readable findings run
@@ -108,6 +111,7 @@ if [ "${CI_FUZZ:-1}" != "0" ]; then
 	go test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzLadderDecode -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzBlackBlobs -fuzztime=10s ./internal/vision
+	go test -fuzz=FuzzSharpness -fuzztime=10s ./internal/raster
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/serve
 	go test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/journal
 fi
