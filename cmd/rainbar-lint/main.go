@@ -2,8 +2,9 @@
 // (internal/analysis) over every package in the module: determinism
 // (RB-D1..D4), observability injection (RB-O1), error discipline
 // (RB-E1..E3), float equality (RB-F1), pool/goroutine hygiene
-// (RB-C1..C2), serve concurrency discipline (RB-C3..C4), and snapshot
-// completeness (RB-S1). See DESIGN.md §8 for the rule table.
+// (RB-C1..C2), serve concurrency discipline (RB-C3..C4), snapshot
+// completeness (RB-S1), and code no entry point reaches (RB-U1). See
+// DESIGN.md §8 for the rule table.
 //
 // Usage:
 //

@@ -376,3 +376,24 @@ func TestSnapshotCompletenessGate(t *testing.T) {
 		t.Fatalf("journal RB-S1 diagnostic wrong:\n%s", stdout)
 	}
 }
+
+// TestUnreachedGate is the RB-U1 demonstration: a helper main calls is
+// clean; deleting main's only call makes the gate fail and name it.
+func TestUnreachedGate(t *testing.T) {
+	program := func(body string) map[string]string {
+		return map[string]string{"cmd/tool/main.go": "package main\n\nfunc main() {" + body + "}\n\nfunc helper() {}\n"}
+	}
+	root := writeTree(t, program(" helper() "))
+	if code, stdout, stderr := runLint(t, "-dir", root); code != 0 {
+		t.Fatalf("helper called: exit %d (stdout %q, stderr %q), want 0", code, stdout, stderr)
+	}
+
+	root = writeTree(t, program(""))
+	code, stdout, _ := runLint(t, "-dir", root)
+	if code != 1 {
+		t.Fatalf("call deleted: exit = %d, want 1 (stdout %q)", code, stdout)
+	}
+	if !strings.Contains(stdout, "RB-U1") || !strings.Contains(stdout, "m/cmd/tool.helper is reached by no entry point") {
+		t.Fatalf("RB-U1 diagnostic wrong:\n%s", stdout)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -41,7 +43,7 @@ func TestLoadtestWritesPerfSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	snap, err := perf.ReadJSON(f)
+	snap, err := readSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +175,38 @@ func TestAdminAPI(t *testing.T) {
 	}
 	if resp, _ := get(snapPath(admitted.ID)); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("snapshot of terminal session: %d", resp.StatusCode)
+	}
+}
+
+// TestAdminAPIRejectsUnboundedCameraRate: at 2e9 fps the capture period
+// truncates to zero and a round never ends, so the spec must be refused at
+// submit with 400. The factory is checked first and no server is started
+// until it refuses the spec, so a regression fails fast instead of hanging
+// on a wedged worker.
+func TestAdminAPIRejectsUnboundedCameraRate(t *testing.T) {
+	spec := serve.SessionSpec{Payload: []byte("rainbar camera rate"), CamRateFPS: 2e9}
+	if _, err := serve.DefaultFactory(nil).New(spec); !errors.Is(err, serve.ErrBadSpec) {
+		t.Fatalf("DefaultFactory.New error %v, want serve.ErrBadSpec", err)
+	}
+	rec := obs.NewMemory()
+	srv := serve.NewServer(serve.Config{MaxSessions: 2, Workers: 1, Recorder: rec})
+	defer srv.Stop()
+	ts := httptest.NewServer(adminMux(srv, rec))
+	defer ts.Close()
+	if _, err := srv.Submit(spec); !errors.Is(err, serve.ErrBadSpec) {
+		t.Fatalf("Submit error %v, want serve.ErrBadSpec", err)
+	}
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /sessions answered %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -348,7 +382,7 @@ func TestLoadtestFsyncSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	snap, err := perf.ReadJSON(f)
+	snap, err := readSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,4 +409,13 @@ func snapPath(id uint64) string { return "/sessions/" + jsonID(id) + "/snapshot"
 func jsonID(id uint64) string {
 	b, _ := json.Marshal(id)
 	return string(b)
+}
+
+// readSnapshot parses a perf snapshot written by Snapshot.WriteJSON.
+func readSnapshot(r io.Reader) (*perf.Snapshot, error) {
+	var s perf.Snapshot
+	if err := json.NewDecoder(r).Decode(&s); err != nil {
+		return nil, fmt.Errorf("read perf snapshot: %w", err)
+	}
+	return &s, nil
 }

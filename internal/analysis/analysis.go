@@ -18,7 +18,9 @@
 //     loop keeps mutating (RB-C1..C2);
 //   - hot-path memory — the designated decode hot-path functions contain
 //     no unannotated make/append growth; buffers there come from the
-//     decode scratch (RB-P1).
+//     decode scratch (RB-P1);
+//   - reachability — every non-test function is reached from a main, an
+//     init, a package-level initializer or the public API (RB-U1).
 //
 // Each rule lives in its own file and registers an *Analyzer; the shared
 // core here provides the Pass plumbing, the suppression directives, and the
@@ -113,8 +115,7 @@ func DefaultConfig() Config {
 			"serve": true,
 		},
 		DecodeRoots: map[string]bool{
-			"core": true, "rdcode": true, "cobra": true,
-			"lightsync": true, "transport": true,
+			"core": true, "cobra": true, "lightsync": true, "transport": true,
 		},
 		PoolPairs: map[string]string{
 			// raster's float scratch pool (Sharpness).

@@ -150,6 +150,9 @@ func TestFixtures(t *testing.T) {
 		{"goterm", false, func(c *Config) {
 			c.GoroutineRoots["goterm"] = true
 		}},
+		// RB-U1 derives its roots from the module; this fixture is the
+		// only one with a main package, so the only one it reports in.
+		{"unreached", false, nil},
 	}
 	for _, fx := range fixtures {
 		fx := fx
@@ -182,10 +185,9 @@ func TestContractKey(t *testing.T) {
 		"rainbar/cmd/rainbar-bench":    "rainbar-bench",
 		"fixture/timenow":              "timenow",
 		// The durability subsystem folds under the serve roots, so the
-		// journal and the chaos harness inherit serve's contract, lock,
-		// and goroutine rules without their own entries.
+		// journal inherits serve's contract, lock, and goroutine rules
+		// without its own entries.
 		"rainbar/internal/serve/journal": "serve",
-		"rainbar/internal/serve/chaos":   "serve",
 	}
 	for path, want := range cases {
 		if got := contractKey(path); got != want {

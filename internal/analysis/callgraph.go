@@ -96,16 +96,12 @@ type Graph struct {
 	// Nodes in ascending ID order.
 	Nodes []*FuncNode
 	byObj map[*types.Func]*FuncNode
-	byID  map[string]*FuncNode
 
 	// namedTypes are every non-interface named type declared in non-test
 	// module code, in stable order — the interface-dispatch candidate set.
 	namedTypes []*types.TypeName
 	ifaceCache map[*types.Interface]map[string][]*FuncNode
 }
-
-// NodeByID returns the node with the given ID, nil if absent.
-func (g *Graph) NodeByID(id string) *FuncNode { return g.byID[id] }
 
 // NodeOf returns the node for a function object (origin-folded), nil for
 // functions outside the module.
@@ -116,7 +112,6 @@ func BuildGraph(fset *token.FileSet, pkgs []*Package) *Graph {
 	g := &Graph{
 		Fset:       fset,
 		byObj:      make(map[*types.Func]*FuncNode),
-		byID:       make(map[string]*FuncNode),
 		ifaceCache: make(map[*types.Interface]map[string][]*FuncNode),
 	}
 	// Pass 1: nodes for every declared function, and the dispatch
@@ -140,7 +135,6 @@ func BuildGraph(fset *token.FileSet, pkgs []*Package) *Graph {
 					Test: extTest || pkg.TestFile[f],
 				}
 				g.byObj[obj] = n
-				g.byID[n.ID] = n
 				g.Nodes = append(g.Nodes, n)
 			}
 			if !extTest && !pkg.TestFile[f] {

@@ -49,6 +49,7 @@ func AllModuleAnalyzers() []*ModuleAnalyzer {
 		ModuleAnalyzerGoTerm,     // RB-C4
 		ModuleAnalyzerTaint,      // RB-D4
 		ModuleAnalyzerSnapFields, // RB-S1
+		ModuleAnalyzerUnreached,  // RB-U1
 	}
 }
 

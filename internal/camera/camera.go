@@ -52,12 +52,18 @@ func Default() Camera {
 	return Camera{RateFPS: 30, ReadoutFraction: 0.9}
 }
 
-// Validate reports configuration errors.
+// MaxRateFPS is the fastest capture rate Validate accepts: 240 fps, the
+// fastest phone capture mode. Captures per round grow with the rate, and
+// past about 1e9 fps Period truncates to zero and filming never advances.
+const MaxRateFPS = 240
+
+// Validate reports configuration errors. Both ranges are written so that
+// NaN fails them.
 func (c Camera) Validate() error {
-	if c.RateFPS <= 0 {
-		return fmt.Errorf("camera: capture rate %.2f fps must be positive", c.RateFPS)
+	if !(c.RateFPS > 0 && c.RateFPS <= MaxRateFPS) {
+		return fmt.Errorf("camera: capture rate %.2f fps out of (0, %d]", c.RateFPS, MaxRateFPS)
 	}
-	if c.ReadoutFraction <= 0 || c.ReadoutFraction > 1 {
+	if !(c.ReadoutFraction > 0 && c.ReadoutFraction <= 1) {
 		return fmt.Errorf("camera: readout fraction %.2f out of (0, 1]", c.ReadoutFraction)
 	}
 	return nil

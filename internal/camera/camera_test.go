@@ -1,6 +1,7 @@
 package camera
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -51,6 +52,24 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid camera accepted", i)
 		}
+	}
+}
+
+// TestValidateRate pins the capture-rate range (0, MaxRateFPS]: NaN, the
+// infinities and rates fast enough to stall filming are refused.
+func TestValidateRate(t *testing.T) {
+	for _, fps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 240.5, 1e4, 2e9} {
+		if err := (Camera{RateFPS: fps, ReadoutFraction: 0.9}).Validate(); err == nil {
+			t.Errorf("RateFPS %v accepted", fps)
+		}
+	}
+	for _, fps := range []float64{1, 30, 60, 240} {
+		if err := (Camera{RateFPS: fps, ReadoutFraction: 0.9}).Validate(); err != nil {
+			t.Errorf("RateFPS %v rejected: %v", fps, err)
+		}
+	}
+	if err := (Camera{RateFPS: 30, ReadoutFraction: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN readout fraction accepted")
 	}
 }
 

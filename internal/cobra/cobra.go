@@ -24,7 +24,6 @@ import (
 	"rainbar/internal/colorspace"
 	"rainbar/internal/core/header"
 	"rainbar/internal/crc"
-	"rainbar/internal/geometry"
 	"rainbar/internal/raster"
 	"rainbar/internal/rs"
 )
@@ -136,30 +135,12 @@ func NewCodec(cfg Config) (*Codec, error) {
 	return c, nil
 }
 
-// MustCodec is NewCodec but panics on error.
-func MustCodec(cfg Config) *Codec {
-	c, err := NewCodec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the codec configuration.
-func (c *Codec) Config() Config { return c.cfg }
-
 // FrameCapacity returns payload bytes per frame.
 func (c *Codec) FrameCapacity() int { return c.capacity }
 
 // CodeAreaBlocks counts code-area blocks (data plus header row), the
 // paper's §III-B capacity metric: (cols-6)*(rows-6).
 func (c *Codec) CodeAreaBlocks() int { return len(c.dataCells) + len(c.hdrCells) }
-
-// Cols and Rows expose the grid dimensions.
-func (c *Codec) Cols() int { return c.cols }
-
-// Rows returns the number of block rows.
-func (c *Codec) Rows() int { return c.rows }
 
 // ctCenters returns the four corner-tracker centers in grid coordinates
 // (TL, TR, BL, BR). CTs are 3x3 at the very corners.
@@ -218,32 +199,11 @@ const (
 	kindData
 )
 
-func (k blockKind) paint() colorspace.RGB {
-	switch k {
-	case kindCTCenter, kindTRBBlack:
-		return colorspace.RGBBlack
-	case kindRingTL:
-		return colorspace.Paint(RingTL)
-	case kindRingTR:
-		return colorspace.Paint(RingTR)
-	case kindRingBL:
-		return colorspace.Paint(RingBL)
-	case kindRingBR:
-		return colorspace.Paint(RingBR)
-	default:
-		return colorspace.RGBWhite
-	}
-}
-
 // Frame is one rendered-ready COBRA barcode.
 type Frame struct {
 	codec  *Codec
-	hdr    header.Header
 	colors []colorspace.Color
 }
-
-// Header returns the frame header.
-func (f *Frame) Header() header.Header { return f.hdr }
 
 // Render paints the frame.
 func (f *Frame) Render() *raster.Image {
@@ -284,7 +244,7 @@ func (c *Codec) EncodeFrame(payload []byte, seq uint16, last bool) (*Frame, erro
 		AppType:       c.cfg.AppType,
 		FrameChecksum: crc.Sum16(padded),
 	}
-	f := &Frame{codec: c, hdr: hdr, colors: make([]colorspace.Color, c.rows*c.cols)}
+	f := &Frame{codec: c, colors: make([]colorspace.Color, c.rows*c.cols)}
 	for r := 0; r < c.rows; r++ {
 		for co := 0; co < c.cols; co++ {
 			k := c.kindAt(r, co)
@@ -320,25 +280,6 @@ func (c *Codec) EncodeFrame(payload []byte, seq uint16, last bool) (*Frame, erro
 	return f, nil
 }
 
-// EncodeAll splits data into frames starting at startSeq.
-func (c *Codec) EncodeAll(data []byte, startSeq uint16) ([]*Frame, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("cobra: empty payload")
-	}
-	n := (len(data) + c.capacity - 1) / c.capacity
-	frames := make([]*Frame, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * c.capacity
-		hi := min(lo+c.capacity, len(data))
-		f, err := c.EncodeFrame(data[lo:hi], (startSeq+uint16(i))&header.MaxSeq, i == n-1)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, f)
-	}
-	return frames, nil
-}
-
 // decodePayload reverses the RS stream and verifies the checksum.
 func (c *Codec) decodePayload(stream []byte, want uint16) ([]byte, error) {
 	payload := make([]byte, 0, c.capacity)
@@ -356,10 +297,4 @@ func (c *Codec) decodePayload(stream []byte, want uint16) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)
 	}
 	return payload, nil
-}
-
-// blockCenter is used by tests to compare localization schemes.
-func (c *Codec) blockCenterPx(r, co int) geometry.Point {
-	bs := float64(c.cfg.BlockSize)
-	return geometry.Point{X: (float64(co) + 0.5) * bs, Y: (float64(r) + 0.5) * bs}
 }

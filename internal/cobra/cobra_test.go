@@ -7,6 +7,8 @@ import (
 
 	"rainbar/internal/channel"
 	"rainbar/internal/colorspace"
+	"rainbar/internal/core/header"
+	"rainbar/internal/raster"
 )
 
 func testCodec(t testing.TB) *Codec {
@@ -16,6 +18,16 @@ func testCodec(t testing.TB) *Codec {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// decodeFrame decodes one capture end to end: grid, then payload.
+func decodeFrame(c *Codec, img *raster.Image) (header.Header, []byte, error) {
+	gd, err := c.DecodeGrid(img)
+	if err != nil {
+		return header.Header{}, nil, err
+	}
+	payload, err := c.AssemblePayload(gd.Cells, gd.Header)
+	return gd.Header, payload, err
 }
 
 func payloadFor(c *Codec, seed int64) []byte {
@@ -77,7 +89,7 @@ func TestPerfectRoundTripNoChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, got, err := c.DecodeFrame(f.Render())
+	hdr, got, err := decodeFrame(c, f.Render())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,27 +116,12 @@ func TestRoundTripThroughGentleChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := c.DecodeFrame(capt)
+	_, got, err := decodeFrame(c, capt)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("payload corrupted through gentle channel")
-	}
-}
-
-func TestEncodeAllLastFlag(t *testing.T) {
-	c := testCodec(t)
-	data := make([]byte, c.FrameCapacity()+5)
-	frames, err := c.EncodeAll(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 2 {
-		t.Fatalf("%d frames", len(frames))
-	}
-	if frames[0].Header().Last || !frames[1].Header().Last {
-		t.Error("Last flags wrong")
 	}
 }
 
@@ -158,10 +155,11 @@ func TestReceiverPicksSharpestCapture(t *testing.T) {
 	if err := rx.Ingest(sharp); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rx.Frame(0)
-	if !ok {
-		t.Fatal("frame missing")
+	frames := rx.Frames()
+	if len(frames) != 1 || frames[0].Header.Seq != 0 {
+		t.Fatalf("decoded %d frames, want seq 0 alone", len(frames))
 	}
+	got := frames[0]
 	if got.Err != nil {
 		t.Fatalf("decode failed: %v", got.Err)
 	}
@@ -178,7 +176,7 @@ func TestDecodeRejectsBlankImage(t *testing.T) {
 	}
 	img := f.Render()
 	img.Fill(colorspace.RGBWhite)
-	if _, _, err := c.DecodeFrame(img); err == nil {
+	if _, err := c.DecodeGrid(img); err == nil {
 		t.Fatal("blank image decoded")
 	}
 }

@@ -215,19 +215,6 @@ func (c *Codec) AssemblePayload(cells []colorspace.Color, hdr header.Header) ([]
 	return c.decodePayload(stream[:total], hdr.FrameChecksum)
 }
 
-// DecodeFrame decodes one capture end to end.
-func (c *Codec) DecodeFrame(img *raster.Image) (header.Header, []byte, error) {
-	gd, err := c.DecodeGrid(img)
-	if err != nil {
-		return header.Header{}, nil, err
-	}
-	payload, err := c.AssemblePayload(gd.Cells, gd.Header)
-	if err != nil {
-		return gd.Header, nil, err
-	}
-	return gd.Header, payload, nil
-}
-
 // Receiver accumulates captures the way COBRA's pipeline does: the
 // protocol assumes the display rate is exactly half the capture rate, so
 // consecutive captures arrive in pairs showing the same frame; blur
@@ -306,14 +293,4 @@ func (rx *Receiver) Frames() []*DecodedFrame {
 		out = append(out, &DecodedFrame{Header: gd.Header, Payload: payload, Err: err})
 	}
 	return out
-}
-
-// Frame decodes the accumulated capture for one sequence number.
-func (rx *Receiver) Frame(seq uint16) (*DecodedFrame, bool) {
-	gd, ok := rx.best[seq]
-	if !ok {
-		return nil, false
-	}
-	payload, err := rx.codec.AssemblePayload(gd.Cells, gd.Header)
-	return &DecodedFrame{Header: gd.Header, Payload: payload, Err: err}, true
 }

@@ -48,11 +48,12 @@ func capturePixels(b *testing.B) []colorspace.RGB {
 var (
 	sinkCaptureColor colorspace.Color
 	sinkCaptureConf  float64
+	sinkCaptureHSV   colorspace.HSV
 )
 
-// BenchmarkClassifyCapturePixels times ClassifyRGB ("hard") and
-// ClassifyRGBSoft ("soft") over a filmed capture's cell pixels and reports
-// the cost per pixel.
+// BenchmarkClassifyCapturePixels times ClassifyRGB ("hard"),
+// ClassifyRGBSoft ("soft") and ToHSV ("to_hsv") over a filmed capture's
+// cell pixels and reports the cost per pixel.
 func BenchmarkClassifyCapturePixels(b *testing.B) {
 	px := capturePixels(b)
 	cl := colorspace.NewClassifier(colorspace.DefaultTV)
@@ -68,6 +69,14 @@ func BenchmarkClassifyCapturePixels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range px {
 				sinkCaptureColor, sinkCaptureConf = cl.ClassifyRGBSoft(p)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(px)), "ns/px")
+	})
+	b.Run("to_hsv", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, p := range px {
+				sinkCaptureHSV = p.ToHSV()
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(px)), "ns/px")

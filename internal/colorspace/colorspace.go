@@ -204,30 +204,6 @@ type Classifier struct {
 // NewClassifier returns a classifier with the given value threshold.
 func NewClassifier(tv float64) Classifier { return Classifier{TV: tv} }
 
-// Classify maps one HSV sample to a block color using the paper's decision
-// procedure: value below T_v → black; else saturation below T_sat → white;
-// else hue sector → green (60°,180°), blue (180°,300°), red otherwise.
-func (cl Classifier) Classify(p HSV) Color {
-	tv := cl.TV
-	if tv == 0 {
-		tv = DefaultTV
-	}
-	if p.V < tv {
-		return Black
-	}
-	if p.S < TSat {
-		return White
-	}
-	switch {
-	case p.H > 60 && p.H <= 180:
-		return Green
-	case p.H > 180 && p.H <= 300:
-		return Blue
-	default:
-		return Red
-	}
-}
-
 // BlackLimit returns the number of channel levels k whose value k/255 lies
 // below T_v, so that ClassifyRGB(p) == Black exactly when
 // p.Below(BlackLimit()), that is when max(p.R, p.G, p.B) < BlackLimit().
@@ -243,8 +219,9 @@ func (cl Classifier) BlackLimit() int {
 	return sort.Search(len(u8f), func(k int) bool { return !(u8f[k] < tv) })
 }
 
-// ClassifyRGB classifies an RGB sample directly, bit-identical to
-// Classify(p.ToHSV()) for every input and threshold but without any float
+// ClassifyRGB classifies an RGB sample directly, bit-identical to the
+// paper's HSV rule on p.ToHSV() (Classify, kept with the tests) for every
+// input and threshold but without any float
 // conversion: the black test is one table-backed comparison, the white
 // test one table lookup, and the hue sector reduces to integer channel
 // comparisons (see lut.go for the derivation and the exhaustive

@@ -316,3 +316,28 @@ func TestEstimateTVClustersMatchesEstimateTV(t *testing.T) {
 		t.Fatal("EstimateTVClusters(nil) should report no bimodality")
 	}
 }
+
+// Classify maps one HSV sample to a block color using the paper's decision
+// procedure: value below T_v → black; else saturation below T_sat → white;
+// else hue sector → green (60°,180°), blue (180°,300°), red otherwise. It
+// is the reference the table-driven ClassifyRGB is tested against.
+func (cl Classifier) Classify(p HSV) Color {
+	tv := cl.TV
+	if tv == 0 {
+		tv = DefaultTV
+	}
+	if p.V < tv {
+		return Black
+	}
+	if p.S < TSat {
+		return White
+	}
+	switch {
+	case p.H > 60 && p.H <= 180:
+		return Green
+	case p.H > 180 && p.H <= 300:
+		return Blue
+	default:
+		return Red
+	}
+}

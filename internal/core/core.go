@@ -78,7 +78,7 @@ type Codec struct {
 	capacity int   // payload bytes per frame
 	locRows  []int // cached Geometry.LocatorRows() (per-cell hot path)
 
-	rec   obs.Recorder // never nil; obs.Nop() when unset
+	rec   obs.Recorder // never nil; obs.OrNop supplies the no-op recorder when unset
 	obsOn bool         // gates observation-only work on the hot path
 }
 
@@ -135,15 +135,6 @@ func NewCodec(cfg Config) (*Codec, error) {
 		return nil, fmt.Errorf("core: geometry too small for any payload (area %d bytes, parity %d)", area, cfg.RSParity)
 	}
 	return c, nil
-}
-
-// MustCodec is NewCodec but panics on error.
-func MustCodec(cfg Config) *Codec {
-	c, err := NewCodec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Config returns the codec configuration.

@@ -125,15 +125,6 @@ func NewGeometry(screenW, screenH, blockSize int) (*Geometry, error) {
 	return g, nil
 }
 
-// MustGeometry is NewGeometry but panics on error, for constant configs.
-func MustGeometry(screenW, screenH, blockSize int) *Geometry {
-	g, err := NewGeometry(screenW, screenH, blockSize)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Cols returns the number of block columns.
 func (g *Geometry) Cols() int { return g.cols }
 

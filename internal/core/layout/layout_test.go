@@ -54,15 +54,6 @@ func TestNewGeometryValidation(t *testing.T) {
 	}
 }
 
-func TestMustGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGeometry did not panic")
-		}
-	}()
-	MustGeometry(10, 10, 5)
-}
-
 func TestKindAtStructure(t *testing.T) {
 	g := s4(t)
 	cases := []struct {

@@ -86,13 +86,8 @@ func (pf *partialFrame) vote(i int, c colorspace.Color, conf, weight float64) {
 	}
 }
 
-// cells materializes the majority color per cell (White where no votes).
-func (pf *partialFrame) cellsByVote() []colorspace.Color {
-	return pf.cellsByVoteInto(nil)
-}
-
-// cellsByVoteInto is cellsByVote writing into dst when its capacity
-// suffices.
+// cellsByVoteInto materializes the majority color per cell (White where
+// no votes), writing into dst when its capacity suffices.
 func (pf *partialFrame) cellsByVoteInto(dst []colorspace.Color) []colorspace.Color {
 	out := grow(dst, len(pf.cellVotes))
 	for i := range pf.cellVotes {
@@ -109,13 +104,13 @@ func (pf *partialFrame) cellsByVoteInto(dst []colorspace.Color) []colorspace.Col
 	return out
 }
 
-// cellsByVoteSoft is cellsByVote plus a per-cell confidence: the winner's
-// mean classification confidence scaled by its vote share. The winning
-// color is decided exactly as in cellsByVote. The vote-share factor is
-// what catches confidently-wrong captures (e.g. splice replays, whose
-// cells classify cleanly): a cell contested between captures scores low
-// even when every individual classification was certain, so the ladder
-// erases contested cells first. Cells with no votes score 0.
+// cellsByVoteSoft is cellsByVoteInto plus a per-cell confidence: the
+// winner's mean classification confidence scaled by its vote share. The
+// winning color is decided exactly as in cellsByVoteInto. The vote-share
+// factor is what catches confidently-wrong captures (e.g. splice replays,
+// whose cells classify cleanly): a cell contested between captures scores
+// low even when every individual classification was certain, so the
+// ladder erases contested cells first. Cells with no votes score 0.
 func (pf *partialFrame) cellsByVoteSoft() ([]colorspace.Color, []float64) {
 	out := make([]colorspace.Color, len(pf.cellVotes))
 	conf := make([]float64, len(pf.cellVotes))

@@ -66,6 +66,3 @@ func Sum16(data []byte) uint16 {
 
 // Check8 reports whether sum is the correct CRC-8 for data.
 func Check8(data []byte, sum uint8) bool { return Sum8(data) == sum }
-
-// Check16 reports whether sum is the correct CRC-16 for data.
-func Check16(data []byte, sum uint16) bool { return Sum16(data) == sum }

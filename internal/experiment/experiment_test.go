@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,6 +103,23 @@ func TestCapacityAnalysisOrdering(t *testing.T) {
 	}
 	if tbl.Rows[0][0] != "RainBar" || tbl.Rows[1][0] != "COBRA" || tbl.Rows[2][0] != "RDCode" {
 		t.Fatalf("row order: %v", tbl.Rows)
+	}
+	// The whole analytic table, cell by cell and note by note: the
+	// counts are arithmetic on the S4 screen, so any change is a bug.
+	want := [][]string{
+		{"RainBar", "11609", "11520", "2902"},
+		{"COBRA", "10857", "10857", "2714"},
+		{"RDCode", "10080", "10508", "2520"},
+	}
+	if fmt.Sprint(tbl.Rows) != fmt.Sprint(want) {
+		t.Fatalf("rows = %v, want %v", tbl.Rows, want)
+	}
+	wantNotes := []string{
+		"shape: RainBar > COBRA > RDCode; our counts are cell-exact, the paper's are its own arithmetic",
+		"RDCode counted after excluding its 4 palette blocks per square (the paper's 10508 counts them in)",
+	}
+	if fmt.Sprint(tbl.Notes) != fmt.Sprint(wantNotes) {
+		t.Fatalf("notes = %q, want %q", tbl.Notes, wantNotes)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"rainbar/internal/core/layout"
 	"rainbar/internal/obs"
 	"rainbar/internal/raster"
-	"rainbar/internal/rdcode"
 	"rainbar/internal/transport"
 	"rainbar/internal/workload"
 )
@@ -417,15 +416,17 @@ func CapacityAnalysis(Options) (*Table, error) {
 	}
 	t.AddRow("COBRA", cob.CodeAreaBlocks(), "10857", cob.CodeAreaBlocks()*2/8)
 
-	rd, err := rdcode.NewCodec(rdcode.Config{ScreenW: 1920, ScreenH: 1080, BlockSize: 13})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("RDCode", rd.CodeAreaBlocks(), "10508", rd.CodeAreaBlocks()*2/8)
+	// RDCode is counted analytically, as in the paper: 12x12-block squares,
+	// each spending 4 blocks on its color palette. Its code area is the
+	// non-palette blocks of every whole square; screen area outside whole
+	// squares is wasted.
+	const rdSquare, rdPalette = 12, 4
+	rd := (1920 / 13 / rdSquare) * (1080 / 13 / rdSquare) * (rdSquare*rdSquare - rdPalette)
+	t.AddRow("RDCode", rd, "10508", rd*2/8)
 
-	if geo.CodeAreaBlocks() <= cob.CodeAreaBlocks() || cob.CodeAreaBlocks() <= rd.CodeAreaBlocks() {
+	if geo.CodeAreaBlocks() <= cob.CodeAreaBlocks() || cob.CodeAreaBlocks() <= rd {
 		return nil, fmt.Errorf("capacity ordering violated: %d, %d, %d",
-			geo.CodeAreaBlocks(), cob.CodeAreaBlocks(), rd.CodeAreaBlocks())
+			geo.CodeAreaBlocks(), cob.CodeAreaBlocks(), rd)
 	}
 	return t, nil
 }

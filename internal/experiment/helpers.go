@@ -88,83 +88,3 @@ func runStreamSync(o Options, fps float64, disableSync bool, seed int64) (float6
 	}
 	return float64(recovered) / float64(n*codec.FrameCapacity()), nil
 }
-
-// All runs every experiment at the given options and returns the tables in
-// report order. Experiments that model different artifacts run
-// independently; a failure in one aborts the suite (they share no state).
-func All(o Options) ([]*Table, error) {
-	var out []*Table
-	add := func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, t)
-		return nil
-	}
-	if err := add(CapacityAnalysis(o)); err != nil {
-		return nil, err
-	}
-	if err := add(LocalizationError(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig10aDistance(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig10bViewAngle(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig10cBlockSize(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig10dBrightness(o)); err != nil {
-		return nil, err
-	}
-	ta, tb, err := Fig11DisplayRate(o)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ta, tb)
-	if err := add(Fig11cBlockSize(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Table1Throughput(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig12aBlockSize(o)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig12bDisplayRate(o)); err != nil {
-		return nil, err
-	}
-	if err := add(DecodeTime(o)); err != nil {
-		return nil, err
-	}
-	if err := add(TextTransfer(o)); err != nil {
-		return nil, err
-	}
-	if err := add(HSVvsRGB(o)); err != nil {
-		return nil, err
-	}
-	if err := add(SyncAblation(o)); err != nil {
-		return nil, err
-	}
-	if err := add(LightSyncComparison(o)); err != nil {
-		return nil, err
-	}
-	if err := add(AlphabetRobustness(o)); err != nil {
-		return nil, err
-	}
-	if err := add(LocalizationAblation(o)); err != nil {
-		return nil, err
-	}
-	if err := add(AdaptiveBlockSize(o)); err != nil {
-		return nil, err
-	}
-	if err := add(FaultSweep(o)); err != nil {
-		return nil, err
-	}
-	if err := add(RecoverySweep(o)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -60,11 +60,6 @@ func LineIntersect(a1, a2, b1, b2 Point) (Point, bool) {
 // to (x, y) computes (x', y', w') = H·(x, y, 1) and returns (x'/w', y'/w').
 type Homography [9]float64
 
-// Identity returns the identity homography.
-func Identity() Homography {
-	return Homography{1, 0, 0, 0, 1, 0, 0, 0, 1}
-}
-
 // Apply transforms p through h. Points mapping to the line at infinity
 // (w' == 0) return a far-away sentinel rather than Inf to keep downstream
 // pixel math finite.
@@ -76,21 +71,6 @@ func (h Homography) Apply(p Point) Point {
 		return Point{X: 1e12, Y: 1e12}
 	}
 	return Point{X: x / w, Y: y / w}
-}
-
-// Mul returns the composition h∘g (apply g first, then h).
-func (h Homography) Mul(g Homography) Homography {
-	var out Homography
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			var sum float64
-			for k := 0; k < 3; k++ {
-				sum += h[r*3+k] * g[k*3+c]
-			}
-			out[r*3+c] = sum
-		}
-	}
-	return out
 }
 
 // ErrSingular is returned when a homography cannot be inverted or solved,
@@ -119,22 +99,6 @@ func (h Homography) Inverse() (Homography, error) {
 		inv[k] /= det
 	}
 	return inv, nil
-}
-
-// Translate returns the homography translating by (tx, ty).
-func Translate(tx, ty float64) Homography {
-	return Homography{1, 0, tx, 0, 1, ty, 0, 0, 1}
-}
-
-// ScaleH returns the homography scaling by (sx, sy) about the origin.
-func ScaleH(sx, sy float64) Homography {
-	return Homography{sx, 0, 0, 0, sy, 0, 0, 0, 1}
-}
-
-// Rotate returns the homography rotating by theta radians about the origin.
-func Rotate(theta float64) Homography {
-	c, s := math.Cos(theta), math.Sin(theta)
-	return Homography{c, -s, 0, s, c, 0, 0, 0, 1}
 }
 
 // Solve4Point computes the homography mapping each src[i] to dst[i] from

@@ -42,34 +42,10 @@ func TestPointArithmetic(t *testing.T) {
 }
 
 func TestIdentityApply(t *testing.T) {
-	h := Identity()
+	h := Homography{1, 0, 0, 0, 1, 0, 0, 0, 1}
 	p := Point{12.5, -3}
 	if got := h.Apply(p); !almostEq(got, p, 1e-12) {
 		t.Errorf("identity moved point: %v", got)
-	}
-}
-
-func TestTranslateScaleRotate(t *testing.T) {
-	if got := Translate(5, -2).Apply(Point{1, 1}); !almostEq(got, Point{6, -1}, 1e-12) {
-		t.Errorf("Translate = %v", got)
-	}
-	if got := ScaleH(2, 3).Apply(Point{4, 5}); !almostEq(got, Point{8, 15}, 1e-12) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := Rotate(math.Pi / 2).Apply(Point{1, 0}); !almostEq(got, Point{0, 1}, 1e-12) {
-		t.Errorf("Rotate(90°) = %v", got)
-	}
-}
-
-func TestMulComposition(t *testing.T) {
-	g := Translate(1, 0)
-	h := ScaleH(2, 2)
-	// h∘g: translate first, then scale.
-	comp := h.Mul(g)
-	got := comp.Apply(Point{1, 1})
-	want := Point{4, 2}
-	if !almostEq(got, want, 1e-12) {
-		t.Errorf("composition = %v, want %v", got, want)
 	}
 }
 

@@ -35,13 +35,6 @@ func init() {
 	}
 }
 
-// Add returns a + b in GF(2^8). Addition and subtraction coincide.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8); identical to Add because the field has
-// characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -57,16 +50,6 @@ func Exp(n int) byte {
 		n += 255
 	}
 	return expTable[n]
-}
-
-// Log returns log_alpha(x). It panics if x is zero, which has no logarithm;
-// callers must guard the zero case (this is an internal programming-error
-// condition, not an input-data condition).
-func Log(x byte) int {
-	if x == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[x])
 }
 
 // Inv returns the multiplicative inverse of x. It panics if x is zero.
@@ -86,15 +69,4 @@ func Div(a, b byte) byte {
 		return 0
 	}
 	return expTable[int(logTable[a])+255-int(logTable[b])]
-}
-
-// Pow returns x^n for n >= 0.
-func Pow(x byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if x == 0 {
-		return 0
-	}
-	return Exp(Log(x) * n)
 }

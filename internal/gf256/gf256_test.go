@@ -5,23 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestAddIsXOR(t *testing.T) {
-	cases := []struct{ a, b, want byte }{
-		{0, 0, 0},
-		{1, 1, 0},
-		{0x53, 0xCA, 0x99},
-		{0xFF, 0x0F, 0xF0},
-	}
-	for _, c := range cases {
-		if got := Add(c.a, c.b); got != c.want {
-			t.Errorf("Add(%#x, %#x) = %#x, want %#x", c.a, c.b, got, c.want)
-		}
-		if got := Sub(c.a, c.b); got != c.want {
-			t.Errorf("Sub(%#x, %#x) = %#x, want %#x", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestMulKnownValues(t *testing.T) {
 	// Worked example from the QR-code Reed-Solomon literature (0x11d field).
 	cases := []struct{ a, b, want byte }{
@@ -77,7 +60,7 @@ func TestFieldAxiomsProperty(t *testing.T) {
 		t.Errorf("multiplication not associative: %v", err)
 	}
 	distributive := func(a, b, c byte) bool {
-		return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c))
+		return Mul(a, b^c) == Mul(a, b)^Mul(a, c) // addition is XOR
 	}
 	if err := quick.Check(distributive, nil); err != nil {
 		t.Errorf("multiplication not distributive over addition: %v", err)
@@ -102,15 +85,6 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
-func TestLogZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Log(0) did not panic")
-		}
-	}()
-	Log(0)
-}
-
 func TestDivZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -133,8 +107,8 @@ func TestDiv(t *testing.T) {
 
 func TestExpLogRoundTrip(t *testing.T) {
 	for x := 1; x < 256; x++ {
-		if got := Exp(Log(byte(x))); got != byte(x) {
-			t.Fatalf("Exp(Log(%#x)) = %#x", x, got)
+		if got := Exp(int(logTable[x])); got != byte(x) {
+			t.Fatalf("Exp(log(%#x)) = %#x", x, got)
 		}
 	}
 }
@@ -161,31 +135,5 @@ func TestGeneratorIsPrimitive(t *testing.T) {
 	}
 	if x != 1 {
 		t.Fatalf("alpha^255 = %#x, want 1", x)
-	}
-}
-
-func TestPow(t *testing.T) {
-	cases := []struct {
-		x    byte
-		n    int
-		want byte
-	}{
-		{3, 0, 1},
-		{0, 0, 1},
-		{0, 5, 0},
-		{2, 1, 2},
-		{2, 8, 0x1d},
-	}
-	for _, c := range cases {
-		if got := Pow(c.x, c.n); got != c.want {
-			t.Errorf("Pow(%#x, %d) = %#x, want %#x", c.x, c.n, got, c.want)
-		}
-	}
-	// Property: Pow(x, a+b) == Pow(x,a)*Pow(x,b).
-	prop := func(x byte, a, b uint8) bool {
-		return Pow(x, int(a)+int(b)) == Mul(Pow(x, int(a)), Pow(x, int(b)))
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Errorf("power law violated: %v", err)
 	}
 }

@@ -6,17 +6,8 @@ package gf256
 // message is the high-order part of the codeword polynomial.
 type Polynomial []byte
 
-// Degree returns the degree of p. The zero polynomial has degree -1.
-func (p Polynomial) Degree() int {
-	for i := range p {
-		if p[i] != 0 {
-			return len(p) - 1 - i
-		}
-	}
-	return -1
-}
-
-// Trim removes leading zero coefficients so the slice length is Degree()+1.
+// Trim removes leading zero coefficients so the slice length is the degree
+// plus one.
 // The zero polynomial trims to an empty slice.
 func (p Polynomial) Trim() Polynomial {
 	for i := range p {
@@ -25,20 +16,6 @@ func (p Polynomial) Trim() Polynomial {
 		}
 	}
 	return Polynomial{}
-}
-
-// AddPoly returns a + b.
-func AddPoly(a, b Polynomial) Polynomial {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	out := make(Polynomial, len(a))
-	copy(out, a)
-	off := len(a) - len(b)
-	for i, c := range b {
-		out[off+i] ^= c
-	}
-	return out
 }
 
 // MulPoly returns a * b.
@@ -57,15 +34,6 @@ func MulPoly(a, b Polynomial) Polynomial {
 			}
 			out[i+j] ^= Mul(ca, cb)
 		}
-	}
-	return out
-}
-
-// ScalePoly returns p * c.
-func ScalePoly(p Polynomial, c byte) Polynomial {
-	out := make(Polynomial, len(p))
-	for i, v := range p {
-		out[i] = Mul(v, c)
 	}
 	return out
 }
@@ -106,7 +74,3 @@ func DivMod(a, b Polynomial) (quo, rem Polynomial) {
 	}
 	return quo, rem[len(rem)-len(b)+1:]
 }
-
-// MonicRoot returns the degree-1 monic polynomial (x - r), which in
-// characteristic 2 equals (x + r).
-func MonicRoot(r byte) Polynomial { return Polynomial{1, r} }

@@ -94,7 +94,11 @@ func TestCOBRAComfortZoneMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, got, err := codec.DecodeFrame(capt); err == nil && bytes.Equal(got, want) {
+				gd, err := codec.DecodeGrid(capt)
+				if err != nil {
+					continue
+				}
+				if got, err := codec.AssemblePayload(gd.Cells, gd.Header); err == nil && bytes.Equal(got, want) {
 					return
 				}
 			}
@@ -124,7 +128,12 @@ func TestLightSyncMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, got, err := codec.DecodeFrame(capt)
+				gd, err := codec.DecodeGrid(capt)
+				if err != nil {
+					lastErr = err
+					continue
+				}
+				_, got, err := codec.AssemblePayload(gd.Bits)
 				if err == nil && bytes.Equal(got, want) {
 					return
 				}

@@ -2,7 +2,6 @@ package lightsync
 
 import (
 	"fmt"
-	"sort"
 
 	"rainbar/internal/colorspace"
 	"rainbar/internal/crc"
@@ -95,15 +94,6 @@ func (c *Codec) AssemblePayload(bits []byte) (uint16, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadFrame)
 	}
 	return seq, blob[metaLen:], nil
-}
-
-// DecodeFrame decodes a single clean capture end to end.
-func (c *Codec) DecodeFrame(img *raster.Image) (uint16, []byte, error) {
-	gd, err := c.DecodeGrid(img)
-	if err != nil {
-		return 0, nil, err
-	}
-	return c.AssemblePayload(gd.Bits)
 }
 
 // Receiver reassembles frames from captures using LightSync's per-line
@@ -244,20 +234,6 @@ func (rx *Receiver) Flush() {
 		}
 		delete(rx.partial, seq)
 	}
-}
-
-// Frames returns completed frames in sequence order.
-func (rx *Receiver) Frames() []*DecodedFrame {
-	seqs := make([]int, 0, len(rx.done))
-	for s := range rx.done {
-		seqs = append(seqs, int(s))
-	}
-	sort.Ints(seqs)
-	out := make([]*DecodedFrame, 0, len(seqs))
-	for _, s := range seqs {
-		out = append(out, rx.done[uint16(s)])
-	}
-	return out
 }
 
 // Frame returns the completed frame for seq, if any.

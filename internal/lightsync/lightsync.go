@@ -166,27 +166,14 @@ func sortCells(cells []layout.Cell) {
 // metaLen is the in-payload metadata: seq(2) + CRC-16 of the payload (2).
 const metaLen = 4
 
-// MustCodec is NewCodec but panics on error.
-func MustCodec(cfg Config) *Codec {
-	c, err := NewCodec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // FrameCapacity returns the payload bytes per frame.
 func (c *Codec) FrameCapacity() int { return c.capacity }
 
 // Frame is one encoded LightSync barcode.
 type Frame struct {
 	codec  *Codec
-	seq    uint16
 	colors []colorspace.Color
 }
-
-// Seq returns the frame sequence number.
-func (f *Frame) Seq() uint16 { return f.seq }
 
 // Render paints the frame.
 func (f *Frame) Render() *raster.Image {
@@ -226,7 +213,7 @@ func (c *Codec) EncodeFrame(payload []byte, seq uint16) (*Frame, error) {
 	}
 
 	g := c.geo
-	f := &Frame{codec: c, seq: seq, colors: make([]colorspace.Color, g.Rows()*g.Cols())}
+	f := &Frame{codec: c, colors: make([]colorspace.Color, g.Rows()*g.Cols())}
 	// Structure: reuse RainBar's structural cells; everything RainBar
 	// calls header/tracking-bar becomes white filler here (the line
 	// headers make them unnecessary).

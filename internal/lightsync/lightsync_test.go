@@ -23,6 +23,16 @@ func testCodec(t testing.TB) *Codec {
 	return c
 }
 
+// decodeFrame decodes a single clean capture end to end: grid, then
+// payload.
+func decodeFrame(c *Codec, img *raster.Image) (uint16, []byte, error) {
+	gd, err := c.DecodeGrid(img)
+	if err != nil {
+		return 0, nil, err
+	}
+	return c.AssemblePayload(gd.Bits)
+}
+
 func TestNewCodecValidation(t *testing.T) {
 	if _, err := NewCodec(Config{ScreenW: 50, ScreenH: 50, BlockSize: 10}); err == nil {
 		t.Error("tiny screen accepted")
@@ -66,7 +76,7 @@ func TestCleanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, got, err := c.DecodeFrame(f.Render())
+	seq, got, err := decodeFrame(c, f.Render())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestRoundTripThroughChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := c.DecodeFrame(capt)
+	_, got, err := decodeFrame(c, capt)
 	if err != nil {
 		t.Fatalf("decode through channel: %v", err)
 	}
@@ -116,7 +126,7 @@ func TestBWRobustToChromaNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := c.DecodeFrame(capt)
+	_, got, err := decodeFrame(c, capt)
 	if err != nil {
 		t.Fatalf("decode under heavy chroma noise: %v", err)
 	}

@@ -39,9 +39,8 @@ func BucketsFor(name string) []float64 {
 // increments lock-free after first touch, histogram observations under a
 // per-shard mutex. Safe for concurrent use.
 type Memory struct {
-	clock   Clock
-	buckets func(name string) []float64
-	shards  [numShards]shard
+	clock  Clock
+	shards [numShards]shard
 }
 
 const numShards = 16
@@ -59,29 +58,11 @@ type histogram struct {
 	n      int64
 }
 
-// MemoryOption configures NewMemory.
-type MemoryOption func(*Memory)
-
-// WithClock injects the span clock. Use a *ManualClock for deterministic
-// span durations; the default is the wall clock.
-func WithClock(c Clock) MemoryOption {
-	return func(m *Memory) { m.clock = c }
-}
-
-// WithBuckets overrides the bucket-layout rule.
-func WithBuckets(f func(name string) []float64) MemoryOption {
-	return func(m *Memory) { m.buckets = f }
-}
-
-// NewMemory returns an empty in-memory Recorder. Without options it times
-// spans with the wall clock — construct it at the edge (CLI, test) and
-// inject it into the pipeline, never inside a contract package (RB-O1).
-func NewMemory(opts ...MemoryOption) *Memory {
-	m := &Memory{clock: NewWallClock(), buckets: BucketsFor}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
+// NewMemory returns an empty in-memory Recorder that times spans with the
+// wall clock — construct it at the edge (CLI, test) and inject it into the
+// pipeline, never inside a contract package (RB-O1).
+func NewMemory() *Memory {
+	return &Memory{clock: NewWallClock()}
 }
 
 // fnv1a hashes the series name to a shard.
@@ -123,7 +104,7 @@ func (m *Memory) Observe(name string, v float64) {
 		if s.hists == nil {
 			s.hists = make(map[string]*histogram)
 		}
-		bounds := m.buckets(name)
+		bounds := BucketsFor(name)
 		h = &histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
 		s.hists[name] = h
 	}

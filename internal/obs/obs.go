@@ -58,9 +58,6 @@ var (
 	nopEnd          = func() {}
 )
 
-// Nop returns the shared no-op Recorder.
-func Nop() Recorder { return nop }
-
 // OrNop returns r, or the no-op Recorder when r is nil, so call sites
 // never need a nil check.
 func OrNop(r Recorder) Recorder {
@@ -95,17 +92,14 @@ func (w wallClock) Now() time.Duration { return time.Since(w.epoch) }
 func NewWallClock() Clock { return wallClock{epoch: time.Now()} }
 
 // ManualClock is a deterministic Clock for tests and bit-reproducible
-// runs: Now returns the reading set by Advance, so span durations are an
-// explicit function of the test script, not the host.
+// runs: Now returns a fixed reading (zero unless a test advances it), so
+// span durations are an explicit function of the caller, not the host.
 type ManualClock struct {
 	now atomic.Int64
 }
 
 // Now implements Clock.
 func (m *ManualClock) Now() time.Duration { return time.Duration(m.now.Load()) }
-
-// Advance moves the clock forward by d.
-func (m *ManualClock) Advance(d time.Duration) { m.now.Add(int64(d)) }
 
 // With returns name labeled with the given key/value pairs, in argument
 // order: With("x_total", "class", "drop") == `x_total{class="drop"}`.

@@ -13,10 +13,10 @@ import (
 var update = flag.Bool("update", false, "rewrite golden exposition files")
 
 func TestNopAndEnabled(t *testing.T) {
-	if Enabled(nil) || Enabled(Nop()) {
+	if Enabled(nil) || Enabled(nop) {
 		t.Fatal("nil / nop must not report enabled")
 	}
-	if OrNop(nil) != Nop() {
+	if OrNop(nil) != nop {
 		t.Fatal("OrNop(nil) must be the shared nop")
 	}
 	m := NewMemory()
@@ -27,7 +27,7 @@ func TestNopAndEnabled(t *testing.T) {
 		t.Fatal("OrNop must pass a real recorder through")
 	}
 	// The nop must accept everything silently.
-	n := Nop()
+	n := nop
 	n.Inc("x", 1)
 	n.Observe("y", 2)
 	n.Span("z")()
@@ -82,9 +82,19 @@ func TestBucketsFor(t *testing.T) {
 	}
 }
 
+// Advance moves the clock forward by d.
+func (m *ManualClock) Advance(d time.Duration) { m.now.Add(int64(d)) }
+
+// manualMemory is a Memory whose spans are timed by clk.
+func manualMemory(clk *ManualClock) *Memory {
+	m := NewMemory()
+	m.clock = clk
+	return m
+}
+
 func TestSpanManualClock(t *testing.T) {
 	clk := &ManualClock{}
-	m := NewMemory(WithClock(clk))
+	m := manualMemory(clk)
 	end := m.Span("s_seconds")
 	clk.Advance(5 * time.Millisecond)
 	end()
@@ -103,7 +113,7 @@ func TestSpanManualClock(t *testing.T) {
 // duration histogram fed by deterministic manual-clock spans.
 func goldenMemory() *Memory {
 	clk := &ManualClock{}
-	m := NewMemory(WithClock(clk))
+	m := manualMemory(clk)
 	m.Inc(With(MCoreDecodeFailures, "stage", "detect"), 3)
 	m.Inc(With(MCoreDecodeFailures, "stage", "sync"), 1)
 	m.Inc(MCoreCaptures, 7)
@@ -168,7 +178,7 @@ func TestExpositionDeterministic(t *testing.T) {
 // TestConcurrentRecorder hammers one Memory from many goroutines; run
 // under -race (scripts/ci.sh) it is the recorder's data-race gate.
 func TestConcurrentRecorder(t *testing.T) {
-	m := NewMemory(WithClock(&ManualClock{}))
+	m := manualMemory(&ManualClock{})
 	const workers, each = 8, 1000
 	var wg sync.WaitGroup
 	wg.Add(workers)

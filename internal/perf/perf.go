@@ -111,15 +111,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadJSON parses a snapshot previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("perf: read snapshot: %w", err)
-	}
-	return &s, nil
-}
-
 // Collect runs every registered kernel benchmark and returns the snapshot.
 // benchtime accepts the testing package's -benchtime syntax ("1s", "100x");
 // empty keeps the 1s default. Longer benchtimes reduce noise.
@@ -172,18 +163,6 @@ type kernel struct {
 	setup func() (func(b *testing.B), error)
 }
 
-// classifySamples covers the pixel populations the decoder classifies:
-// reference colors, dimmed variants, and noisy near-threshold mixtures
-// (kept in sync with the colorspace package's benchmark set).
-var classifySamples = []colorspace.RGB{
-	colorspace.RGBWhite, colorspace.RGBRed, colorspace.RGBGreen,
-	colorspace.RGBBlue, colorspace.RGBBlack,
-	{R: 128, G: 128, B: 128}, {R: 127, G: 10, B: 14}, {R: 30, G: 200, B: 40},
-	{R: 12, G: 30, B: 190}, {R: 200, G: 180, B: 170}, {R: 60, G: 55, B: 48},
-	{R: 15, G: 15, B: 20}, {R: 240, G: 120, B: 20}, {R: 90, G: 160, B: 200},
-	{R: 5, G: 80, B: 6}, {R: 255, G: 250, B: 128},
-}
-
 var (
 	sinkCaps  []camera.Capture
 	sinkColor colorspace.Color
@@ -230,6 +209,33 @@ func perfCapture(c *core.Codec) (*raster.Image, error) {
 		return nil, err
 	}
 	return channel.MustNew(channel.DefaultConfig()).Capture(f.Render())
+}
+
+// capturePixels returns the 3x3 mean-filtered capture pixels of every
+// data cell's block of perfCapture's filmed frame: about 106,000 noisy
+// samples around the five code colours, too many for a branch predictor to
+// learn their order. colorspace's BenchmarkClassifyCapturePixels builds
+// the same set.
+func capturePixels() ([]colorspace.RGB, error) {
+	c, err := perfCodec()
+	if err != nil {
+		return nil, err
+	}
+	capt, err := perfCapture(c)
+	if err != nil {
+		return nil, err
+	}
+	g := c.Geometry()
+	bs := g.BlockSize()
+	var px []colorspace.RGB
+	for _, cell := range g.DataCells() {
+		for y := cell.Row * bs; y < (cell.Row+1)*bs; y++ {
+			for x := cell.Col * bs; x < (cell.Col+1)*bs; x++ {
+				px = append(px, capt.MeanFilterAt(x, y))
+			}
+		}
+	}
+	return px, nil
 }
 
 // perfBatch builds the 4-capture burst the receiver benchmarks ingest.
@@ -335,28 +341,33 @@ func roundKernel() (func(*testing.B), error) {
 }
 
 var kernels = []kernel{
-	{"classify_rgb", func() (func(*testing.B), error) {
-		cl := colorspace.NewClassifier(0.32)
+	// The classify kernels time one pixel per op, cycling through a
+	// filmed capture's cell pixels (capturePixels): ns/op is ns per pixel.
+	{"classify_capture_px", func() (func(*testing.B), error) {
+		px, err := capturePixels()
+		cl := colorspace.NewClassifier(colorspace.DefaultTV)
 		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkColor = cl.ClassifyRGB(classifySamples[i%len(classifySamples)])
+			for i, j := 0, 0; i < b.N; i, j = i+1, (j+1)%len(px) {
+				sinkColor = cl.ClassifyRGB(px[j])
 			}
-		}, nil
+		}, err
 	}},
-	{"classify_rgb_soft", func() (func(*testing.B), error) {
-		cl := colorspace.NewClassifier(0.32)
+	{"classify_soft_capture_px", func() (func(*testing.B), error) {
+		px, err := capturePixels()
+		cl := colorspace.NewClassifier(colorspace.DefaultTV)
 		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkColor, sinkFloat = cl.ClassifyRGBSoft(classifySamples[i%len(classifySamples)])
+			for i, j := 0, 0; i < b.N; i, j = i+1, (j+1)%len(px) {
+				sinkColor, sinkFloat = cl.ClassifyRGBSoft(px[j])
 			}
-		}, nil
+		}, err
 	}},
-	{"to_hsv", func() (func(*testing.B), error) {
+	{"to_hsv_capture_px", func() (func(*testing.B), error) {
+		px, err := capturePixels()
 		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkHSV = classifySamples[i%len(classifySamples)].ToHSV()
+			for i, j := 0, 0; i < b.N; i, j = i+1, (j+1)%len(px) {
+				sinkHSV = px[j].ToHSV()
 			}
-		}, nil
+		}, err
 	}},
 	{"mean_filter_at", func() (func(*testing.B), error) {
 		img := perfImage()

@@ -10,7 +10,7 @@ import (
 // accepts must be a self-consistent codeword, and clean round trips must
 // stay bit-exact.
 func FuzzRSDecode(f *testing.F) {
-	c16 := MustNew(16)
+	c16 := mustNew(16)
 	clean, _ := c16.Encode([]byte("reed-solomon over the rainbar link"))
 	f.Add(clean, []byte{}, byte(15))
 	corrupt := bytes.Clone(clean)

@@ -47,28 +47,8 @@ func New(nparity int) (*Codec, error) {
 	return &Codec{nparity: nparity, gen: gen}, nil
 }
 
-// MustNew is New but panics on invalid configuration. Intended for
-// package-level construction with constant arguments.
-func MustNew(nparity int) *Codec {
-	c, err := New(nparity)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// ParityLen returns the number of parity bytes appended by Encode.
-func (c *Codec) ParityLen() int { return c.nparity }
-
-// MaxDataLen returns the maximum number of data bytes per message.
-func (c *Codec) MaxDataLen() int { return 255 - c.nparity }
-
-// CorrectionCapability returns the maximum number of byte errors the codec
-// can correct with no erasure information.
-func (c *Codec) CorrectionCapability() int { return c.nparity / 2 }
-
 // Encode appends parity bytes to data, returning a new slice of
-// len(data)+ParityLen() bytes. The encoding is systematic: the original data
+// len(data)+nparity bytes. The encoding is systematic: the original data
 // occupies the prefix. Encode returns an error if the resulting message
 // would exceed 255 bytes.
 func (c *Codec) Encode(data []byte) ([]byte, error) {
@@ -179,15 +159,9 @@ func (c *Codec) DecodeCountedScratch(msg []byte, erasures []int, sc *Scratch) (d
 	return work[:len(work)-c.nparity], len(positions), nil
 }
 
-// syndromes evaluates the received polynomial at alpha^0..alpha^(nparity-1).
-func (c *Codec) syndromes(msg []byte) []byte {
-	synd := make([]byte, c.nparity)
-	c.syndromesInto(synd, msg)
-	return synd
-}
-
-// syndromesInto is syndromes writing into a caller-provided vector of
-// length nparity.
+// syndromesInto evaluates the received polynomial at
+// alpha^0..alpha^(nparity-1) into a caller-provided vector of length
+// nparity.
 func (c *Codec) syndromesInto(synd, msg []byte) {
 	for i := range synd {
 		synd[i] = gf256.Polynomial(msg).Eval(gf256.Exp(i))

@@ -23,17 +23,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew(0) did not panic")
-		}
-	}()
-	MustNew(0)
+// mustNew is New for the tests' constant parity counts.
+func mustNew(nparity int) *Codec {
+	c, err := New(nparity)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestEncodeSystematic(t *testing.T) {
-	c := MustNew(8)
+	c := mustNew(8)
 	data := []byte("hello, reed-solomon")
 	msg, err := c.Encode(data)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestEncodeSystematic(t *testing.T) {
 }
 
 func TestEncodeTooLong(t *testing.T) {
-	c := MustNew(16)
+	c := mustNew(16)
 	if _, err := c.Encode(make([]byte, 240)); !errors.Is(err, ErrLongMessage) {
 		t.Fatalf("Encode(240 bytes) err = %v, want ErrLongMessage", err)
 	}
@@ -60,7 +60,7 @@ func TestEncodeTooLong(t *testing.T) {
 func TestCodewordIsMultipleOfGenerator(t *testing.T) {
 	// A valid codeword must evaluate to zero at every generator root
 	// alpha^0..alpha^(nparity-1).
-	c := MustNew(10)
+	c := mustNew(10)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		data := make([]byte, 1+rng.Intn(200))
@@ -78,7 +78,7 @@ func TestCodewordIsMultipleOfGenerator(t *testing.T) {
 }
 
 func TestDecodeClean(t *testing.T) {
-	c := MustNew(8)
+	c := mustNew(8)
 	data := []byte("clean message")
 	msg, _ := c.Encode(data)
 	got, err := c.Decode(msg, nil)
@@ -91,7 +91,7 @@ func TestDecodeClean(t *testing.T) {
 }
 
 func TestDecodeCorrectsErrors(t *testing.T) {
-	c := MustNew(8) // corrects up to 4 errors
+	c := mustNew(8) // corrects up to 4 errors
 	data := []byte("the quick brown fox jumps over")
 	for nErrs := 1; nErrs <= 4; nErrs++ {
 		msg, _ := c.Encode(data)
@@ -111,7 +111,7 @@ func TestDecodeCorrectsErrors(t *testing.T) {
 }
 
 func TestDecodeDetectsExcessErrors(t *testing.T) {
-	c := MustNew(8)
+	c := mustNew(8)
 	data := []byte("overload this codeword with corruption")
 	rng := rand.New(rand.NewSource(99))
 	detected := 0
@@ -135,7 +135,7 @@ func TestDecodeDetectsExcessErrors(t *testing.T) {
 }
 
 func TestDecodeErasuresOnly(t *testing.T) {
-	c := MustNew(8) // corrects up to 8 erasures
+	c := mustNew(8) // corrects up to 8 erasures
 	data := []byte("erasures are half price")
 	msg, _ := c.Encode(data)
 	var erasures []int
@@ -155,7 +155,7 @@ func TestDecodeErasuresOnly(t *testing.T) {
 
 func TestDecodeMixedErrorsAndErasures(t *testing.T) {
 	// 2 errors + 4 erasures: 2*2 + 4 = 8 = parity, exactly at capacity.
-	c := MustNew(8)
+	c := mustNew(8)
 	data := []byte("mixed corruption test payload")
 	msg, _ := c.Encode(data)
 	erasures := []int{0, 5, 10, 15}
@@ -174,7 +174,7 @@ func TestDecodeMixedErrorsAndErasures(t *testing.T) {
 }
 
 func TestDecodeErasureValidation(t *testing.T) {
-	c := MustNew(4)
+	c := mustNew(4)
 	msg, _ := c.Encode([]byte("abc"))
 	if _, err := c.Decode(msg, []int{-1}); err == nil {
 		t.Error("negative erasure position accepted")
@@ -188,14 +188,14 @@ func TestDecodeErasureValidation(t *testing.T) {
 }
 
 func TestDecodeShortMessage(t *testing.T) {
-	c := MustNew(8)
+	c := mustNew(8)
 	if _, err := c.Decode([]byte{1, 2, 3}, nil); !errors.Is(err, ErrShortMessage) {
 		t.Fatalf("err = %v, want ErrShortMessage", err)
 	}
 }
 
 func TestDecodeDoesNotMutateInput(t *testing.T) {
-	c := MustNew(8)
+	c := mustNew(8)
 	msg, _ := c.Encode([]byte("immutable input"))
 	msg[3] ^= 0xFF
 	snapshot := make([]byte, len(msg))
@@ -209,13 +209,13 @@ func TestDecodeDoesNotMutateInput(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	c := MustNew(16) // corrects 8 errors
+	c := mustNew(16) // corrects 8 errors
 	prop := func(data []byte, seed int64) bool {
 		if len(data) == 0 {
 			data = []byte{0}
 		}
-		if len(data) > c.MaxDataLen() {
-			data = data[:c.MaxDataLen()]
+		if len(data) > 255-16 {
+			data = data[:255-16]
 		}
 		msg, err := c.Encode(data)
 		if err != nil {
@@ -237,7 +237,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestAllSingleByteErrorsCorrected(t *testing.T) {
 	// Exhaustive over position for a fixed payload: every single-byte error
 	// in every position must be corrected by even the smallest codec.
-	c := MustNew(2)
+	c := mustNew(2)
 	data := []byte("exhaustive single error sweep payload......")
 	for pos := 0; pos < len(data)+2; pos++ {
 		msg, _ := c.Encode(data)
@@ -252,21 +252,8 @@ func TestAllSingleByteErrorsCorrected(t *testing.T) {
 	}
 }
 
-func TestParityAccessors(t *testing.T) {
-	c := MustNew(32)
-	if c.ParityLen() != 32 {
-		t.Errorf("ParityLen = %d, want 32", c.ParityLen())
-	}
-	if c.MaxDataLen() != 223 {
-		t.Errorf("MaxDataLen = %d, want 223", c.MaxDataLen())
-	}
-	if c.CorrectionCapability() != 16 {
-		t.Errorf("CorrectionCapability = %d, want 16", c.CorrectionCapability())
-	}
-}
-
 func BenchmarkEncode223(b *testing.B) {
-	c := MustNew(32)
+	c := mustNew(32)
 	data := make([]byte, 223)
 	rand.New(rand.NewSource(1)).Read(data)
 	b.SetBytes(int64(len(data)))
@@ -279,7 +266,7 @@ func BenchmarkEncode223(b *testing.B) {
 }
 
 func BenchmarkDecodeClean(b *testing.B) {
-	c := MustNew(32)
+	c := mustNew(32)
 	data := make([]byte, 223)
 	rand.New(rand.NewSource(1)).Read(data)
 	msg, _ := c.Encode(data)
@@ -293,7 +280,7 @@ func BenchmarkDecodeClean(b *testing.B) {
 }
 
 func BenchmarkDecodeWorstCase(b *testing.B) {
-	c := MustNew(32)
+	c := mustNew(32)
 	data := make([]byte, 223)
 	rng := rand.New(rand.NewSource(1))
 	rng.Read(data)

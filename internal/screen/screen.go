@@ -186,23 +186,3 @@ func (d *Display) BlendAt(t time.Duration) (a, b int, alpha float64) {
 
 // DefaultTransition is a typical LCD response time.
 const DefaultTransition = 10 * time.Millisecond
-
-// DrawCost models the per-frame encode+draw time on the reference device
-// (§IV): drawing dominates and parallelizes across threads, encoding is a
-// small serial tail. Four threads give the paper's ≈31 ms.
-func DrawCost(threads int) time.Duration {
-	if threads < 1 {
-		threads = 1
-	}
-	const (
-		drawSingle = 118 * time.Millisecond // full-screen draw, one thread
-		encodeCost = 2 * time.Millisecond   // serial encode tail
-	)
-	return encodeCost + time.Duration(float64(drawSingle)/float64(threads))
-}
-
-// MaxRealTimeRate returns the highest display rate (fps) the draw-cost
-// model sustains with the given number of render threads.
-func MaxRealTimeRate(threads int) float64 {
-	return float64(time.Second) / float64(DrawCost(threads))
-}

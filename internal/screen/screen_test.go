@@ -107,36 +107,6 @@ func TestPeriodAndDuration(t *testing.T) {
 	}
 }
 
-func TestDrawCostModel(t *testing.T) {
-	// The paper reports ~31 ms per frame with four render threads.
-	four := DrawCost(4)
-	if four < 25*time.Millisecond || four > 40*time.Millisecond {
-		t.Errorf("DrawCost(4) = %v, want ≈31ms", four)
-	}
-	// More threads must never be slower.
-	prev := DrawCost(1)
-	for threads := 2; threads <= 8; threads++ {
-		cur := DrawCost(threads)
-		if cur > prev {
-			t.Errorf("DrawCost(%d) = %v > DrawCost(%d) = %v", threads, cur, threads-1, prev)
-		}
-		prev = cur
-	}
-	if got := DrawCost(0); got != DrawCost(1) {
-		t.Errorf("DrawCost(0) = %v, want DrawCost(1)", got)
-	}
-}
-
-func TestMaxRealTimeRate(t *testing.T) {
-	// Four threads must sustain ~30 fps (the paper's target), one must not.
-	if r := MaxRealTimeRate(4); r < 28 {
-		t.Errorf("MaxRealTimeRate(4) = %.1f, want ≥ 28", r)
-	}
-	if r := MaxRealTimeRate(1); r > 15 {
-		t.Errorf("MaxRealTimeRate(1) = %.1f, want < 15", r)
-	}
-}
-
 func TestBlendAt(t *testing.T) {
 	d, err := NewDisplay(frames(3), 10, 0) // switches at 100ms, 200ms
 	if err != nil {

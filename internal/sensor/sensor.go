@@ -96,9 +96,6 @@ type BlockSizePolicy struct {
 	Min, Max int
 }
 
-// DefaultPolicy covers the paper's evaluated block sizes (8..14 px).
-func DefaultPolicy() BlockSizePolicy { return BlockSizePolicy{Min: 8, Max: 14} }
-
 // Validate reports configuration errors.
 func (p BlockSizePolicy) Validate() error {
 	if p.Min < 2 || p.Max < p.Min {

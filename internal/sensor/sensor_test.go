@@ -57,6 +57,9 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
+// paperPolicy covers the paper's evaluated block sizes (8..14 px).
+var paperPolicy = BlockSizePolicy{Min: 8, Max: 14}
+
 func TestPolicyValidate(t *testing.T) {
 	if err := (BlockSizePolicy{Min: 1, Max: 5}).Validate(); err == nil {
 		t.Error("min 1 accepted")
@@ -64,13 +67,13 @@ func TestPolicyValidate(t *testing.T) {
 	if err := (BlockSizePolicy{Min: 10, Max: 8}).Validate(); err == nil {
 		t.Error("max < min accepted")
 	}
-	if err := DefaultPolicy().Validate(); err != nil {
+	if err := paperPolicy.Validate(); err != nil {
 		t.Errorf("default policy invalid: %v", err)
 	}
 }
 
 func TestPolicyBlockSizes(t *testing.T) {
-	p := DefaultPolicy()
+	p := paperPolicy
 	if got := p.BlockSize(MobilityStill); got != p.Min {
 		t.Errorf("still = %d, want %d", got, p.Min)
 	}
@@ -84,7 +87,7 @@ func TestPolicyBlockSizes(t *testing.T) {
 }
 
 func TestConfiguratorHysteresis(t *testing.T) {
-	cfg, err := NewAdaptiveConfigurator(DefaultPolicy(), 2)
+	cfg, err := NewAdaptiveConfigurator(paperPolicy, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +105,13 @@ func TestConfiguratorHysteresis(t *testing.T) {
 	if got := cfg.Observe(walking.Window(100, 0.02)); got != MobilityWalking {
 		t.Fatalf("regime did not flip after two windows: %v", got)
 	}
-	if got := cfg.BlockSize(); got != DefaultPolicy().Max {
+	if got := cfg.BlockSize(); got != paperPolicy.Max {
 		t.Errorf("block size = %d after walking", got)
 	}
 }
 
 func TestConfiguratorVoteReset(t *testing.T) {
-	cfg, err := NewAdaptiveConfigurator(DefaultPolicy(), 2)
+	cfg, err := NewAdaptiveConfigurator(paperPolicy, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

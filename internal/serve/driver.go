@@ -154,6 +154,9 @@ func (d *transportDriver) relink(round int) error {
 		ReadoutFraction: d.spec.CamReadout,
 		Seed:            mixSeed(d.spec.CamSeed, round, saltCamera),
 	}
+	if err := cam.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSpec, err)
+	}
 	if d.chain != nil {
 		cam.Faults = faults.NewChain(mixSeed(d.chain.Seed, round, saltFaults), d.chain.Injectors...)
 	}

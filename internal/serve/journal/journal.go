@@ -302,7 +302,6 @@ type Options struct {
 // The server deliberately keeps serving with a poisoned journal —
 // availability over durability; the operator sees it on /healthz.
 type Journal struct {
-	dir  string
 	path string
 	opts Options
 
@@ -350,7 +349,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, path: path, opts: opts, f: f, replayed: recs}
+	j := &Journal{path: path, opts: opts, f: f, replayed: recs}
 	if tail == 0 {
 		if err := j.writeHeader(); err != nil {
 			f.Close()
@@ -373,9 +372,6 @@ func (j *Journal) writeHeader() error {
 	}
 	return nil
 }
-
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Records returns the records replayed at Open, oldest first.
 func (j *Journal) Records() []Record {

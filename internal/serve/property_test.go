@@ -18,16 +18,26 @@ const (
 	propRounds              = 4
 )
 
-// propSpec builds one matrix point's session spec with a ~3-chunk payload.
-// It panics on geometry errors so the fuzz seed phase can use it too.
-func propSpec(faultSpec, recovery string) SessionSpec {
-	geo, err := layout.NewGeometry(propW, propH, propBlock)
+// framesOfText returns seeded text filling the given number of frames of
+// a w×h screen at the given block size. It panics on geometry errors, so
+// fuzz seed phases can use it too.
+func framesOfText(w, h, block, frames int, seed int64) []byte {
+	geo, err := layout.NewGeometry(w, h, block)
 	if err != nil {
 		panic(err)
 	}
-	codec := core.MustCodec(core.Config{Geometry: geo, DisplayRate: 10})
+	codec, err := core.NewCodec(core.Config{Geometry: geo, DisplayRate: 10})
+	if err != nil {
+		panic(err)
+	}
+	return workload.Text(frames*codec.FrameCapacity(), seed)
+}
+
+// propSpec builds one matrix point's session spec with a ~3-chunk payload.
+// It panics on geometry errors so the fuzz seed phase can use it too.
+func propSpec(faultSpec, recovery string) SessionSpec {
 	return SessionSpec{
-		Payload:   workload.Text(2*codec.FrameCapacity(), 7),
+		Payload:   framesOfText(propW, propH, propBlock, 2, 7),
 		ScreenW:   propW,
 		ScreenH:   propH,
 		Block:     propBlock,

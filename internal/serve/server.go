@@ -99,6 +99,14 @@ type session struct {
 	lastCheck []byte
 }
 
+// release drops what only a live session uses once it turns terminal:
+// the driver (transport session, codec, channel), the spec and the last
+// checkpoint. Reads of a terminal session use only its id, state, error,
+// result and stats. Called with sess.mu held.
+func (sess *session) release() {
+	sess.drv, sess.spec, sess.lastCheck = nil, SessionSpec{}, nil
+}
+
 // Server multiplexes transfer sessions over a bounded worker pool. Every
 // non-terminal session is either sitting in the run queue or being stepped
 // by exactly one worker; terminal sessions stay in the registry (for
@@ -313,6 +321,7 @@ func (s *Server) step(sess *session) {
 		sess.state = StateCanceled
 		sess.err = ErrCanceled
 		rec := s.terminalRecord(sess)
+		sess.release()
 		sess.mu.Unlock()
 		s.journalAppend(rec)
 		s.finished(StateCanceled)
@@ -355,6 +364,7 @@ func (s *Server) step(sess *session) {
 	var rec *journal.Record
 	if terminal {
 		rec = s.terminalRecord(sess)
+		sess.release()
 	} else {
 		sess.queued = true
 		rec = s.checkpointRecord(sess)
@@ -604,13 +614,6 @@ func (s *Server) Sessions() []SessionInfo {
 	return out
 }
 
-// Active returns the number of live (non-terminal) sessions.
-func (s *Server) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.active
-}
-
 // Quiesce blocks until no live session remains, without closing
 // admission or stopping the workers — the deterministic "wait for the
 // fleet to finish" shared by the CLI tests and the recovery paths
@@ -661,6 +664,8 @@ func (s *Server) Health() Health {
 func (s *Server) Journal() *journal.Journal { return s.journal }
 
 // Remove deletes a terminal session from the registry.
+//
+//lint:allow RB-U1 the admin API's planned DELETE /sessions/{id} calls it; the tests pin its contract until then
 func (s *Server) Remove(id uint64) error {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]

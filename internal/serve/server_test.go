@@ -51,8 +51,8 @@ func TestSubmitOverloadBackpressure(t *testing.T) {
 	// Releasing the fleet frees capacity again.
 	close(gate)
 	s.Drain()
-	if got := s.Active(); got != 0 {
-		t.Fatalf("active after drain = %d", got)
+	if got := s.Health().Live; got != 0 {
+		t.Fatalf("live after drain = %d", got)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI verify recipe: build (all CLIs included), vet, a gofmt gate (any
 # file gofmt would change fails the build), the repo's own
-# contract analyzers (rainbar-lint, DESIGN.md §8), tests, the full suite
+# contract analyzers (rainbar-lint, DESIGN.md §8, RB-U1's unreached-code
+# rule included) beside the non-test Go line count, tests, the full suite
 # under the race detector, a metrics smoke run, then a short fuzz smoke
 # pass. The lint gate fails the build on any determinism /
 # error-discipline / observability / concurrency contract breach; the
@@ -44,15 +45,19 @@ test -z "$(gofmt -l .)"
 # Lint gates, each timed against the <10s budget the interprocedural
 # engine is held to: the -json gate is the machine-readable findings run
 # (whole-module analysis included: RB-D4 taint, RB-S1 snapshot
-# completeness, RB-C3/C4 serve concurrency), and the -annotations gate
-# audits every escape hatch, failing on stale rule IDs. (Timed with
-# date(1), not the `time` keyword — /bin/sh is dash on some CI hosts.)
+# completeness, RB-C3/C4 serve concurrency, RB-U1 code no entry point
+# reaches), and the -annotations gate audits every escape hatch, failing
+# on stale rule IDs. (Timed with date(1), not the `time` keyword —
+# /bin/sh is dash on some CI hosts.) The non-test Go line count printed
+# beside them is the "least code" figure each change reports: .go files
+# that are not _test.go, outside testdata/ and .bench_build/.
 lint_t0=$(date +%s)
 go run ./cmd/rainbar-lint -json ./... >/tmp/rainbar-lint.json
 echo "rainbar-lint -json: $(($(date +%s) - lint_t0))s"
 lint_t0=$(date +%s)
 go run ./cmd/rainbar-lint -annotations ./...
 echo "rainbar-lint -annotations: $(($(date +%s) - lint_t0))s"
+echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)"
 
 go test ./...
 go test -race ./...
@@ -70,11 +75,11 @@ grep -q '"sessions_per_sec"' /tmp/rainbar-serve-smoke.json
 grep -q '"p99_round_seconds"' /tmp/rainbar-serve-smoke.json
 
 # Durability gates: the chaos harness's kill-at-random-round property
-# (crash, torn journal tail, Recover, bit-identical delivery) and the
-# crash matrix (a kill after EVERY journal record) must hold under the
-# race detector — crash recovery that only works without -race is not
-# crash recovery.
-go test -race -run 'TestChaos' ./internal/serve/chaos
+# (crash, torn journal tail, Recover, bit-identical delivery; the harness
+# lives in serve's test files) and the crash matrix (a kill after EVERY
+# journal record) must hold under the race detector — crash recovery that
+# only works without -race is not crash recovery.
+go test -race -run 'TestChaos' ./internal/serve
 go test -race -run TestCrashMatrixBitIdentical ./internal/serve
 
 # Capture-identity gate: the streaming two-stage capture kernel
