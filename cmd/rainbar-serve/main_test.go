@@ -242,6 +242,7 @@ func TestAdminAPIRejectsBadSpecs(t *testing.T) {
 		spec serve.SessionSpec
 	}{
 		{"block 1", serve.SessionSpec{Payload: payload, ScreenW: 480, ScreenH: 270, Block: 1}},
+		{"screen 8192x4608", serve.SessionSpec{Payload: payload, ScreenW: 8192, ScreenH: 4608, Block: 13}},
 		{"recovery bogus", serve.SessionSpec{Payload: payload, Recovery: "bogus"}},
 		{"malformed faults", serve.SessionSpec{Payload: payload, Faults: "drop=lots"}},
 		{"MaxRounds -1", serve.SessionSpec{Payload: payload, MaxRounds: -1}},

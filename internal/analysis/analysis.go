@@ -31,7 +31,9 @@
 //	//lint:file-allow <RULE-ID> <reason> suppress one rule for the whole file
 //
 // A directive with no reason is itself reported (RB-X1): every escape hatch
-// must say why the invariant holds anyway.
+// must say why the invariant holds anyway. So is a directive that
+// suppresses no finding in a run that applied its rule (RB-X2): an escape
+// hatch must not outlive the code it excused.
 package analysis
 
 import (
@@ -186,23 +188,56 @@ type Pass struct {
 	suppress suppressTable
 }
 
-// suppressTable maps file -> line -> suppressed rule IDs.
-type suppressTable map[string]map[int]map[string]bool
+// suppressTable maps file -> line -> rule ID -> the directive that
+// suppresses the rule there.
+type suppressTable map[string]map[int]map[string]*suppression
+
+// suppression is one directive's claim on one rule. used records whether
+// the run consumed it, that is, whether it suppressed anything.
+type suppression struct {
+	pos  token.Position
+	used bool
+}
 
 // suppressed reports whether a rule is directive-suppressed at a position:
 // on the same line (trailing comment), the line above (standalone comment),
-// or file-wide.
+// or file-wide. The directive that answers is marked used.
 func (t suppressTable) suppressed(rule string, pos token.Position) bool {
 	lines := t[pos.Filename]
 	if lines == nil {
 		return false
 	}
 	for _, l := range []int{pos.Line, pos.Line - 1, wholeFile} {
-		if lines[l][rule] {
+		if s := lines[l][rule]; s != nil {
+			s.used = true
 			return true
 		}
 	}
 	return false
+}
+
+// unused reports (rule RB-X2) every directive that suppressed nothing in a
+// run that applied its rule. Directives naming rules the run did not apply
+// are not judged, nor are RB-D1..D3 directives in a run without RB-D4,
+// whose taint sources honour them too (funcSources).
+func (t suppressTable) unused(ran map[string]bool) []Finding {
+	var out []Finding
+	for _, lines := range t {
+		for _, rules := range lines {
+			for rule, s := range rules {
+				taintRead := rule == "RB-D1" || rule == "RB-D2" || rule == "RB-D3"
+				if s.used || !ran[rule] || (taintRead && !ran["RB-D4"]) {
+					continue
+				}
+				out = append(out, Finding{
+					Rule: "RB-X2",
+					Pos:  s.pos,
+					Msg:  fmt.Sprintf("lint directive suppresses nothing: no %s finding where it applies; delete it", rule),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // merge folds another table into t (used to build the module-wide table;
@@ -348,7 +383,7 @@ func collectDirectives(fset *token.FileSet, pkg *Package, findings *[]Finding) s
 				}
 				byLine := table[pos.Filename]
 				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
+					byLine = make(map[int]map[string]*suppression)
 					table[pos.Filename] = byLine
 				}
 				line := pos.Line
@@ -357,11 +392,11 @@ func collectDirectives(fset *token.FileSet, pkg *Package, findings *[]Finding) s
 				}
 				set := byLine[line]
 				if set == nil {
-					set = make(map[string]bool)
+					set = make(map[string]*suppression)
 					byLine[line] = set
 				}
 				for _, r := range d.Rules {
-					set[r] = true
+					set[r] = &suppression{pos: pos}
 				}
 			}
 		}

@@ -135,6 +135,8 @@ func TestFixtures(t *testing.T) {
 		// The contract rules stay quiet when the package is outside the
 		// contract set, so only the directive check (RB-X1) fires here.
 		{"directive", false, nil},
+		// A directive that suppresses nothing is reported (RB-X2).
+		{"unused", true, nil},
 		// Whole-module rules.
 		{"taint", true, nil},
 		{"generics", true, nil},

@@ -20,10 +20,10 @@ type Annotation struct {
 }
 
 // KnownRules returns the IDs a directive may legitimately name: every
-// registered per-package and whole-module rule, plus RB-X1 (the directive
-// check itself).
+// registered per-package and whole-module rule, plus RB-X1 and RB-X2 (the
+// directive checks themselves).
 func KnownRules() map[string]bool {
-	known := map[string]bool{"RB-X1": true}
+	known := map[string]bool{"RB-X1": true, "RB-X2": true}
 	for _, a := range AllAnalyzers() {
 		known[a.ID] = true
 	}

@@ -93,6 +93,7 @@ func (mp *ModulePass) Report(pos token.Pos, format string, args ...any) {
 func (r *Runner) Run(pkgs []*Package) []Finding {
 	var findings []Finding
 	module := make(suppressTable)
+	ran := make(map[string]bool)
 	for _, pkg := range pkgs {
 		key := contractKey(pkg.Path)
 		pass := &Pass{
@@ -107,6 +108,7 @@ func (r *Runner) Run(pkgs []*Package) []Finding {
 		module.merge(pass.suppress)
 		for _, a := range r.Analyzers {
 			pass.rule = a.ID
+			ran[a.ID] = true
 			a.Run(pass)
 		}
 	}
@@ -121,9 +123,11 @@ func (r *Runner) Run(pkgs []*Package) []Finding {
 		}
 		for _, a := range r.ModuleAnalyzers {
 			mp.rule = a.ID
+			ran[a.ID] = true
 			a.Run(mp)
 		}
 	}
+	findings = append(findings, module.unused(ran)...)
 	sortFindings(findings)
 	return findings
 }

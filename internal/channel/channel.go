@@ -165,12 +165,7 @@ func (c Config) ForwardMap(w, h int) (func(geometry.Point) geometry.Point, error
 	if err != nil {
 		return nil, fmt.Errorf("channel forward map: %w", err)
 	}
-	lens := geometry.RadialDistortion{
-		Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
-		Norm:   math.Hypot(float64(w), float64(h)) / 2,
-		K1:     c.LensK1,
-		K2:     c.LensK2,
-	}
+	lens := captureLens(c, w, h)
 	return func(p geometry.Point) geometry.Point {
 		target := hom.Apply(p)
 		// Solve lens.Apply(q) == target by fixed-point iteration
@@ -196,6 +191,10 @@ type Channel struct {
 	rng *rand.Rand
 
 	kernel []float64 // the condition's defocus taps, once computed
+
+	// surround is the certified dark surround of the last capture size
+	// filmed through the geometry (surround.go), built on first use.
+	surround surround
 
 	// Faults is an optional injector chain run on every Capture after the
 	// photometric stage (nil disables). Fault decisions for capture k are a
@@ -244,17 +243,6 @@ func (ch *Channel) Reset() {
 	// Determinism contract (RB-D2): locally seeded *rand.Rand, same as New.
 	ch.rng = rand.New(rand.NewSource(ch.cfg.Seed))
 	ch.captures = 0
-}
-
-func photom(v uint8, bright, contrast, ambient, noise float64) uint8 {
-	f := float64(v)*bright*contrast + ambient + noise
-	if f < 0 {
-		return 0
-	}
-	if f > 255 {
-		return 255
-	}
-	return uint8(f + 0.5)
 }
 
 // Capture runs the full pipeline on a single displayed frame: geometry

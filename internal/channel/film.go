@@ -147,6 +147,7 @@ func grow[T any](s []T, n int) []T {
 func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float64) (*raster.Image, error) {
 	var inv geometry.Homography
 	var lens geometry.RadialDistortion
+	var lo, hi []int32
 	if rows != nil {
 		jx := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
 		jy := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
@@ -157,12 +158,8 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 		if inv, err = hom.Inverse(); err != nil {
 			return nil, fmt.Errorf("channel warp: %w", err)
 		}
-		lens = geometry.RadialDistortion{
-			Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
-			Norm:   math.Hypot(float64(w), float64(h)) / 2,
-			K1:     ch.cfg.LensK1,
-			K2:     ch.cfg.LensK2,
-		}
+		lens = captureLens(ch.cfg, w, h)
+		lo, hi = ch.Surround(w, h)
 	}
 	if obs.Enabled(ch.Recorder) {
 		ch.Recorder.Inc(obs.MChannelPhotometric, 1)
@@ -170,6 +167,7 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 	f := filmPool.Get().(*filmScratch)
 	o := f.prepare(w, h, kernel)
 	o.rows, o.img, o.inv, o.lens, o.motion = rows, img, inv, lens, ch.cfg.MotionBlurPx
+	o.lo, o.hi = lo, hi
 	s := &f.sensor
 	ch.prepareSensor(s, w, h)
 	out := raster.New(w, h)
@@ -189,7 +187,7 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 	defer func() {
 		close(ready)
 		<-done
-		o.rows, o.img, o.out, s.out, s.rng = nil, nil, nil, nil, nil
+		o.rows, o.img, o.lo, o.hi, o.out, s.out, s.rng = nil, nil, nil, nil, nil, nil, nil
 		filmPool.Put(f)
 	}()
 	o.run(ready)
@@ -268,11 +266,13 @@ func newBlur(kernel []float64) *blur {
 type optics struct {
 	w, h int
 	// rows is the row plan, seen through lens and inv; img, when set,
-	// supplies the source rows directly instead.
-	rows []Row
-	img  *raster.Image
-	lens geometry.RadialDistortion
-	inv  geometry.Homography
+	// supplies the source rows directly instead. A plan's row y is dark
+	// surround outside [lo[y], hi[y]), the channel's certified surround.
+	rows   []Row
+	img    *raster.Image
+	lens   geometry.RadialDistortion
+	inv    geometry.Homography
+	lo, hi []int32
 
 	blur   *blur // nil: no defocus blur
 	motion int   // horizontal motion-blur length; <= 1 is off
@@ -332,9 +332,12 @@ func (o *optics) source(y int) []colorspace.RGB {
 		clear(buf)
 		return buf
 	}
+	lo, hi := int(o.lo[y]), int(o.hi[y])
+	clear(buf[:lo]) // the certified dark surround of the screen
+	clear(buf[hi:])
 	blends := r.blends()
 	fy, fw, fh := float64(y), float64(o.w), float64(o.h)
-	for x := range buf {
+	for x := lo; x < hi; x++ {
 		// Captured pixel -> ideal pinhole position (lens model) -> screen
 		// position (inverse perspective).
 		src := o.inv.Apply(o.lens.Apply(geometry.Point{X: float64(x), Y: fy}))
@@ -540,7 +543,11 @@ type sensor struct {
 	out  *raster.Image
 	rng  *rand.Rand
 
-	bright, contrast, level float64
+	// lit[v] = float64(v)*bright*contrast + level: screen brightness,
+	// ambient contrast loss and veil for channel value v, the first three
+	// operations of the sensor model in its own order, so adding the noise
+	// to an entry yields the model's float bit for bit.
+	lit [256]float64
 
 	// coarse holds the chroma noise's per-patch draws, one plane per
 	// channel with cw columns; an empty coarse[0] disables chroma noise.
@@ -556,8 +563,11 @@ type sensor struct {
 // the channel's condition, reusing its buffers, and draws the chroma grid
 // from the channel's PRNG.
 func (ch *Channel) prepareSensor(s *sensor, w, h int) {
-	s.w, s.h, s.rng, s.bright, s.sd = w, h, ch.rng, ch.cfg.ScreenBrightness, ch.cfg.NoiseStdDev
-	s.level, s.contrast = ch.cfg.Ambient.veil()
+	s.w, s.h, s.rng, s.sd = w, h, ch.rng, ch.cfg.NoiseStdDev
+	level, contrast := ch.cfg.Ambient.veil()
+	for v := range s.lit {
+		s.lit[v] = float64(v)*ch.cfg.ScreenBrightness*contrast + level
+	}
 	s.noise = s.noise[:0]
 	if s.sd > 0 {
 		s.noise = grow(s.noise, 3*w)
@@ -636,9 +646,9 @@ func (s *sensor) finish(y int) {
 			nr, ng, nb = s.noise[3*x], s.noise[3*x+1], s.noise[3*x+2]
 		}
 		row[x] = colorspace.RGB{
-			R: photom(p.R, s.bright, s.contrast, s.level, nr+cr),
-			G: photom(p.G, s.bright, s.contrast, s.level, ng+cg),
-			B: photom(p.B, s.bright, s.contrast, s.level, nb+cb),
+			R: clampRound(s.lit[p.R] + (nr + cr)),
+			G: clampRound(s.lit[p.G] + (ng + cg)),
+			B: clampRound(s.lit[p.B] + (nb + cb)),
 		}
 	}
 }

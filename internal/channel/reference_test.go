@@ -71,6 +71,28 @@ func refLerpRGB(a, b colorspace.RGB, t float64) colorspace.RGB {
 // already drawn jitter, onto a black capture-resolution image.
 func refWarp(cfg Config, frame *raster.Image, jx, jy float64) (*raster.Image, error) {
 	w, h := frame.W, frame.H
+	toScreen, err := refMap(cfg, w, h, jx, jy)
+	if err != nil {
+		return nil, err
+	}
+	out := raster.New(w, h)
+	for y := 0; y < h; y++ {
+		orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
+		for x := 0; x < w; x++ {
+			src := toScreen(x, y)
+			if refOffScreen(src, w, h) {
+				continue
+			}
+			orow[x] = frame.Bilinear(src.X, src.Y)
+		}
+	}
+	return out, nil
+}
+
+// refMap returns the capture geometry at jitter (jx, jy): capture pixel
+// (x, y) through the lens model, then through the inverse perspective view,
+// to the screen position it films.
+func refMap(cfg Config, w, h int, jx, jy float64) (func(x, y int) geometry.Point, error) {
 	hom, err := geometry.PerspectiveView(float64(w), float64(h), cfg.ViewAngleDeg, cfg.scale(), jx, jy)
 	if err != nil {
 		return nil, fmt.Errorf("channel warp: %w", err)
@@ -85,19 +107,15 @@ func refWarp(cfg Config, frame *raster.Image, jx, jy float64) (*raster.Image, er
 		K1:     cfg.LensK1,
 		K2:     cfg.LensK2,
 	}
-	out := raster.New(w, h)
-	for y := 0; y < h; y++ {
-		orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			ideal := lens.Apply(geometry.Point{X: float64(x), Y: float64(y)})
-			src := inv.Apply(ideal)
-			if src.X < -1 || src.X > float64(w) || src.Y < -1 || src.Y > float64(h) {
-				continue
-			}
-			orow[x] = frame.Bilinear(src.X, src.Y)
-		}
-	}
-	return out, nil
+	return func(x, y int) geometry.Point {
+		return inv.Apply(lens.Apply(geometry.Point{X: float64(x), Y: float64(y)}))
+	}, nil
+}
+
+// refOffScreen reports whether a screen position lies outside a w x h
+// screen, where the capture shows the dark surround.
+func refOffScreen(src geometry.Point, w, h int) bool {
+	return src.X < -1 || src.X > float64(w) || src.Y < -1 || src.Y > float64(h)
 }
 
 // refPhotometric is the non-geometric stage: blur (kernel nil: none),
@@ -141,6 +159,19 @@ func refPhotometric(cfg Config, rng *rand.Rand, img *raster.Image, kernel []floa
 		}
 	}
 	return out
+}
+
+// photom is the per-channel sensor model: brightness, contrast, the
+// ambient veil and noise, rounded and clamped to 8 bits.
+func photom(v uint8, bright, contrast, ambient, noise float64) uint8 {
+	f := float64(v)*bright*contrast + ambient + noise
+	if f < 0 {
+		return 0
+	}
+	if f > 255 {
+		return 255
+	}
+	return uint8(f + 0.5)
 }
 
 // refChromaField builds the spatially correlated noise planes: coarse

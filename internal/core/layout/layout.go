@@ -12,6 +12,7 @@
 package layout
 
 import (
+	"errors"
 	"fmt"
 
 	"rainbar/internal/colorspace"
@@ -87,9 +88,21 @@ const (
 	MinRows = 10
 )
 
+// MaxScreenPx caps each side of the screen. The geometry's cell tables and
+// every frame rendered on it are sized from the screen, so a screen
+// described by outside input must be bounded before any of them is.
+const MaxScreenPx = 4096
+
+// ErrScreenTooLarge reports a screen side beyond MaxScreenPx.
+var ErrScreenTooLarge = errors.New("layout: screen larger than 4096 px a side")
+
 // NewGeometry lays out a grid on a screenW x screenH pixel screen with
-// square blocks of blockSize pixels.
+// square blocks of blockSize pixels. Screens wider or taller than
+// MaxScreenPx fail with ErrScreenTooLarge.
 func NewGeometry(screenW, screenH, blockSize int) (*Geometry, error) {
+	if screenW > MaxScreenPx || screenH > MaxScreenPx {
+		return nil, fmt.Errorf("%w: %dx%d", ErrScreenTooLarge, screenW, screenH)
+	}
 	if blockSize < 2 {
 		return nil, fmt.Errorf("layout: block size %d px too small", blockSize)
 	}

@@ -3,6 +3,7 @@ package layout
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"rainbar/internal/colorspace"
@@ -51,6 +52,14 @@ func TestNewGeometryValidation(t *testing.T) {
 	}
 	if _, err := NewGeometry(19*8, 10*8, 8); err != nil {
 		t.Errorf("minimum grid rejected: %v", err)
+	}
+	for _, wh := range [][2]int{{MaxScreenPx + 1, 1080}, {1920, MaxScreenPx + 1}, {1 << 20, 1 << 20}} {
+		if _, err := NewGeometry(wh[0], wh[1], 13); !errors.Is(err, ErrScreenTooLarge) {
+			t.Errorf("%dx%d screen: error %v, want ErrScreenTooLarge", wh[0], wh[1], err)
+		}
+	}
+	if _, err := NewGeometry(MaxScreenPx, MaxScreenPx, 13); err != nil {
+		t.Errorf("largest screen rejected: %v", err)
 	}
 }
 

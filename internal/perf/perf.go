@@ -9,8 +9,9 @@
 // the per-capture pipeline (FixImage, DecodeGrid, DecodeFrame,
 // AssemblePayload) and the receiver loop (fresh-receiver and steady-state
 // variants, plus the batched ingest). The camera_film kernels time the
-// simulated link a transfer films through, and transport_round one whole
-// streamed round of the session path. Snapshots from different hosts
+// simulated link a transfer films through, camera_surround the one-off
+// certification of a channel's dark surround, and transport_round one
+// whole streamed round of the session path. Snapshots from different hosts
 // are not comparable — the header records CPU count and git revision so a
 // reader can tell.
 package perf
@@ -169,6 +170,7 @@ var (
 	sinkFloat float64
 	sinkHSV   colorspace.HSV
 	sinkRGB   colorspace.RGB
+	sinkRows  []int32
 )
 
 // perfImage builds the deterministic 640x360 block-structured frame the
@@ -299,6 +301,22 @@ func filmKernel(distanceCM float64) func() (func(*testing.B), error) {
 			}
 		}, nil
 	}
+}
+
+// surroundKernel certifies the dark surround of a new default channel
+// (12 cm, head-on) for 640x360 captures: the cost a Channel pays once, on
+// its first capture of a size.
+func surroundKernel() (func(*testing.B), error) {
+	cfg := channel.DefaultConfig()
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ch, err := channel.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkRows, _ = ch.Surround(640, 360)
+		}
+	}, nil
 }
 
 // roundKernel plays one transport round of six 640x360 frames (12 px
@@ -537,5 +555,6 @@ var kernels = []kernel{
 	}},
 	{"camera_film", filmKernel(channel.ReferenceDistanceCM)},
 	{"camera_film_close", filmKernel(6)},
+	{"camera_surround", surroundKernel},
 	{"transport_round", roundKernel},
 }

@@ -411,7 +411,7 @@ func (d *faultDriver) Step() (StepInfo, error) {
 	if d.steps == d.Round {
 		switch d.Mode {
 		case modePanic:
-			//lint:allow RB-E3 deliberate: the chaos harness injects worker panics on purpose — proving the server's recover isolation is the whole point
+			// Injected on purpose: the server's recover must isolate it.
 			panic(fmt.Sprintf("%v: panic at step %d", errInjected, d.steps))
 		case modeSlow:
 			// Wedge until the test's watch fires; the server's watchdog

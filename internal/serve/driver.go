@@ -81,20 +81,14 @@ type transportDriver struct {
 	sealed bool
 }
 
+// maxSpecPayload bounds a spec's payload: a daemon takes specs from the
+// outside world (HTTP, snapshots), so payload sizes are capped before any
+// allocation is sized from them. layout.NewGeometry caps the screen.
+const maxSpecPayload = 16 << 20
+
 // newSession builds the transport session a spec describes (link installed
 // separately by relink).
-// spec admission bounds: a daemon takes specs from the outside world
-// (HTTP, snapshots), so geometry and payload sizes are capped before any
-// allocation is sized from them.
-const (
-	maxSpecScreenPx = 4096
-	maxSpecPayload  = 16 << 20
-)
-
 func (f transportFactory) newSession(spec SessionSpec) (*transport.Session, *faults.Chain, error) {
-	if spec.ScreenW <= 0 || spec.ScreenW > maxSpecScreenPx || spec.ScreenH <= 0 || spec.ScreenH > maxSpecScreenPx {
-		return nil, nil, fmt.Errorf("%w: screen %dx%d outside (0, %d]", ErrBadSpec, spec.ScreenW, spec.ScreenH, maxSpecScreenPx)
-	}
 	if len(spec.Payload) > maxSpecPayload {
 		return nil, nil, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrBadSpec, len(spec.Payload), maxSpecPayload)
 	}

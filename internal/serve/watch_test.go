@@ -29,7 +29,8 @@ func (m *ManualWatch) After(d time.Duration) <-chan time.Time {
 	defer m.mu.Unlock()
 	ch := make(chan time.Time, 1)
 	if d <= 0 {
-		//lint:allow RB-C3 deliberate: the channel was just created with capacity 1 and has no other sender, so this send can never block
+		// The channel was just created with capacity 1 and has no other
+		// sender, so this send never blocks.
 		ch <- time.Time{}
 		return ch
 	}
@@ -45,7 +46,8 @@ func (m *ManualWatch) Advance(d time.Duration) {
 	rest := m.timers[:0]
 	for _, t := range m.timers {
 		if t.due <= m.now {
-			//lint:allow RB-C3 deliberate: each timer channel has capacity 1 and receives exactly one send in its lifetime (it leaves m.timers here), so the send never blocks
+			// Each timer channel has capacity 1 and receives exactly one
+			// send (it leaves m.timers here), so the send never blocks.
 			t.ch <- time.Time{}
 		} else {
 			rest = append(rest, t)
@@ -60,7 +62,8 @@ func (m *ManualWatch) Flush() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, t := range m.timers {
-		//lint:allow RB-C3 deliberate: each timer channel has capacity 1 and receives exactly one send in its lifetime (m.timers is cleared below), so the send never blocks
+		// Each timer channel has capacity 1 and receives exactly one send
+		// (m.timers is cleared below), so the send never blocks.
 		t.ch <- time.Time{}
 	}
 	m.timers = nil

@@ -3,10 +3,12 @@ package rainbar_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"rainbar"
+	"rainbar/internal/core/layout"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -27,6 +29,22 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := rainbar.New(rainbar.WithRSParity(500)); err == nil {
 		t.Fatal("oversized parity accepted")
+	}
+}
+
+// TestNewRejectsHugeScreen: the screen size is unchecked input to the
+// facade, and a geometry's cell tables grow with its area, so a screen
+// beyond layout.MaxScreenPx a side fails before anything is sized from it.
+func TestNewRejectsHugeScreen(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := rainbar.New(rainbar.WithScreenSize(1<<20, 1<<20))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, layout.ErrScreenTooLarge) {
+		t.Fatalf("1<<20 x 1<<20 screen: error %v, want layout.ErrScreenTooLarge", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("refusing the screen allocated %d bytes", n)
 	}
 }
 

@@ -22,9 +22,10 @@
 # BENCH_<n>.json) runs end to end; the serve soak and loadtest smoke
 # gate the multi-session daemon (DESIGN.md §12); the fuzz steps
 # keep the decode paths panic-free on corrupt input and hold the blob
-# labeler identical to its flood-fill reference and the fused Sharpness
-# kernel identical to its row-at-a-time reference (Go runs one fuzz
-# target per invocation, hence one line each). Set CI_FUZZ=0 to skip the
+# labeler identical to its flood-fill reference, the fused Sharpness
+# kernel identical to its row-at-a-time reference and the capture
+# kernel's certified dark surround off the screen at every jitter (Go
+# runs one fuzz target per invocation, hence one line each). Set CI_FUZZ=0 to skip the
 # fuzz smoke locally and keep the build+lint+test gate fast. Run before
 # every merge.
 set -eux
@@ -86,8 +87,9 @@ go test -race -run TestCrashMatrixBitIdentical ./internal/serve
 # (internal/channel/film.go) must match the whole-frame reference pipeline
 # byte for byte, and leave the PRNG where the reference does, at 1 and 2
 # CPUs and under the race detector (its sensor stage runs on a helper
-# goroutine).
-go test -race -cpu 1,2 -run 'TestFilmMatchesReference' ./internal/channel
+# goroutine); every pixel of its certified dark surround
+# (internal/channel/surround.go) must film off the screen at every jitter.
+go test -race -cpu 1,2 -run 'TestFilmMatchesReference|TestSurround' ./internal/channel
 
 # Streaming-identity gate: a display that renders on demand, filmed
 # capture by capture through Camera.FilmEach, must yield exactly what Film
@@ -117,6 +119,7 @@ if [ "${CI_FUZZ:-1}" != "0" ]; then
 	go test -fuzz=FuzzLadderDecode -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzBlackBlobs -fuzztime=10s ./internal/vision
 	go test -fuzz=FuzzSharpness -fuzztime=10s ./internal/raster
+	go test -fuzz=FuzzSurround -fuzztime=10s ./internal/channel
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/serve
 	go test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/journal
 fi
