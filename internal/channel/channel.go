@@ -125,16 +125,32 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Each bound is written so that NaN
+// fails it, and no float field may be NaN or infinite.
 func (c Config) Validate() error {
-	if c.DistanceCM <= 0 {
-		return fmt.Errorf("channel: distance %.2f cm must be positive", c.DistanceCM)
+	if !(c.DistanceCM > 0 && c.DistanceCM <= math.MaxFloat64) {
+		return fmt.Errorf("channel: distance %.2f cm must be positive and finite", c.DistanceCM)
 	}
-	if c.ScreenBrightness < 0 || c.ScreenBrightness > 1 {
+	if !(c.ScreenBrightness >= 0 && c.ScreenBrightness <= 1) {
 		return fmt.Errorf("channel: brightness %.2f out of [0, 1]", c.ScreenBrightness)
 	}
-	if c.ViewAngleDeg < -60 || c.ViewAngleDeg > 60 {
+	if !(c.ViewAngleDeg >= -60 && c.ViewAngleDeg <= 60) {
 		return fmt.Errorf("channel: view angle %.1f° out of [-60, 60]", c.ViewAngleDeg)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"blur sigma", c.BlurSigma},
+		{"noise standard deviation", c.NoiseStdDev},
+		{"chroma noise standard deviation", c.ChromaNoiseStdDev},
+		{"lens K1", c.LensK1},
+		{"lens K2", c.LensK2},
+		{"jitter", c.JitterPx},
+	} {
+		if !(math.Abs(f.v) <= math.MaxFloat64) {
+			return fmt.Errorf("channel: %s %v is not finite", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,6 +52,42 @@ func TestNewRejectsInvalid(t *testing.T) {
 	cfg.DistanceCM = -1
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted invalid config")
+	}
+}
+
+// TestNewRejectsNonFinite: New refuses a NaN or infinite value in every
+// float field of the condition, and still takes a negative jitter, which
+// acts as its magnitude.
+func TestNewRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name  string
+		field func(*Config) *float64
+	}{
+		{"DistanceCM", func(c *Config) *float64 { return &c.DistanceCM }},
+		{"ViewAngleDeg", func(c *Config) *float64 { return &c.ViewAngleDeg }},
+		{"ScreenBrightness", func(c *Config) *float64 { return &c.ScreenBrightness }},
+		{"BlurSigma", func(c *Config) *float64 { return &c.BlurSigma }},
+		{"NoiseStdDev", func(c *Config) *float64 { return &c.NoiseStdDev }},
+		{"ChromaNoiseStdDev", func(c *Config) *float64 { return &c.ChromaNoiseStdDev }},
+		{"LensK1", func(c *Config) *float64 { return &c.LensK1 }},
+		{"LensK2", func(c *Config) *float64 { return &c.LensK2 }},
+		{"JitterPx", func(c *Config) *float64 { return &c.JitterPx }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				cfg := DefaultConfig()
+				*f.field(&cfg) = v
+				if _, err := New(cfg); err == nil {
+					t.Fatalf("New accepted %s = %v", f.name, v)
+				}
+			})
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.JitterPx = -2
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New rejected a negative jitter: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rainbar/internal/colorspace"
 	"rainbar/internal/geometry"
@@ -86,12 +87,12 @@ func (ch *Channel) blurKernel() []float64 {
 }
 
 // filmScratch is the capture kernel's working memory: both stages with
-// their row buffers, and the blur tables last built. A capture takes one
-// from filmPool and returns it, so a warm capture allocates only its
-// output image and its sensor goroutine's channels and closure. The pool,
-// rather than the Channel, holds the scratch between captures: a daemon
-// keeps a Channel for every session it still reports on, and would keep
-// a scratch for each.
+// their row buffers, the sensor stage's noise ring and hand-off state, and
+// the blur tables last built. A capture takes one from filmPool and
+// returns it, so a warm capture allocates only its output image and its
+// sensor goroutine. The pool, rather than the Channel, holds the scratch
+// between captures: a daemon keeps a Channel for every session it still
+// reports on, and would keep a scratch for each.
 type filmScratch struct {
 	optics optics
 	sensor sensor
@@ -117,6 +118,7 @@ func (f *filmScratch) prepare(w, h int, kernel []float64) *optics {
 	}
 	o.blur = f.blur
 	o.ring = grow(o.ring, 3*len(kernel)*w)
+	o.spans = grow(o.spans, len(kernel))
 	o.vrun = grow(o.vrun, w)
 	clear(o.vrun)
 	o.base = grow(o.base, len(kernel))
@@ -141,9 +143,10 @@ func grow[T any](s []T, n int) []T {
 // The channel's PRNG is drawn in one fixed order per capture: the jitter
 // (geometry plans only) and the chroma grid here on the caller's
 // goroutine, then each row's sensor noise, in scan order, on the sensor
-// goroutine. Only one goroutine touches the PRNG at a time and each stage
-// handles its rows sequentially, so the capture does not depend on
-// GOMAXPROCS or scheduling.
+// goroutine alone. Only one goroutine touches the PRNG at a time, the
+// optical stage handles its rows sequentially, and each row is finished
+// once, from the same inputs, by whichever goroutine claims it, so the
+// capture does not depend on GOMAXPROCS or scheduling.
 func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float64) (*raster.Image, error) {
 	var inv geometry.Homography
 	var lens geometry.RadialDistortion
@@ -173,24 +176,20 @@ func (ch *Channel) scan(rows []Row, img *raster.Image, w, h int, kernel []float6
 	out := raster.New(w, h)
 	o.out, s.out = out, out
 
-	// The optical stage publishes each finished row on ready, which holds
-	// every row of the capture so the optical stage never waits. Closing it
-	// on every exit path ends the sensor goroutine, which done then joins.
-	// The scratch then lets go of the capture's frames, output and PRNG
-	// and goes back to the pool.
-	ready := make(chan int, h)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.run(ready)
-	}()
+	// The sensor goroutine draws every row's noise and finishes rows while
+	// its ring is full; the caller films the optical rows and then finishes
+	// rows whose noise is drawn. On every exit path stop ends the sensor
+	// goroutine and joins it. The scratch then lets go of the capture's
+	// frames, output and PRNG and goes back to the pool.
+	s.joined.Add(1)
+	go s.help()
 	defer func() {
-		close(ready)
-		<-done
+		s.stop()
 		o.rows, o.img, o.lo, o.hi, o.out, s.out, s.rng = nil, nil, nil, nil, nil, nil, nil
 		filmPool.Put(f)
 	}()
-	o.run(ready)
+	o.run(s)
+	s.finishDrawn()
 	return out, nil
 }
 
@@ -279,12 +278,14 @@ type optics struct {
 
 	// ring holds the horizontal pass of the last 2·half+1 source rows,
 	// three planes of w floats each; source row s sits in slot s mod
-	// (2·half+1).
-	ring []float64
+	// (2·half+1), and spans[s mod (2·half+1)] is its lit span.
+	ring  []float64
+	spans []span
 	// vrun[x] counts the consecutive source rows, ending at the newest,
 	// whose horizontal window at interior column x is one colour, the same
 	// colour in each row. Once it reaches 2·half+1, the pixel in column x
-	// half rows above the newest has a one-colour (2·half+1)² window.
+	// half rows above the newest has a one-colour (2·half+1)² window. It
+	// may under-count, which only sends a pixel down the full computation.
 	vrun []int32
 	base []int               // vpass's ring offset per tap
 	src  [2][]colorspace.RGB // the two newest source rows of a plan
@@ -292,32 +293,50 @@ type optics struct {
 	out  *raster.Image
 }
 
+// span is a source row's lit span [lo, hi): the columns the screen may
+// reach. Outside it the row is black. An empty span (lo >= hi) is a row
+// the screen does not reach at all.
+type span struct{ lo, hi int }
+
 // run streams every row through the optical stage in scan order and
-// publishes each finished output row on ready.
-func (o *optics) run(ready chan<- int) {
+// publishes each finished output row to the sensor stage s.
+func (o *optics) run(s *sensor) {
 	if o.blur == nil {
 		for y := 0; y < o.h; y++ {
 			o.emit(y, o.source(y))
-			ready <- y
+			s.publish(y)
 		}
 		return
 	}
 	half := o.blur.half
 	var prev []colorspace.RGB
-	for s := 0; s < o.h; s++ {
-		cur := o.source(s)
-		o.hpass(s, cur, prev)
+	for sy := 0; sy < o.h; sy++ {
+		cur := o.source(sy)
+		o.hpass(sy, cur, prev)
 		prev = cur
-		// Output row s-half has its whole vertical window in the ring.
-		if y := s - half; y >= 0 {
+		// Output row sy-half has its whole vertical window in the ring.
+		if y := sy - half; y >= 0 {
 			o.emit(y, o.vpass(y, cur))
-			ready <- y
+			s.publish(y)
 		}
 	}
 	for y := max(o.h-half, 0); y < o.h; y++ {
 		o.emit(y, o.vpass(y, nil))
-		ready <- y
+		s.publish(y)
 	}
+}
+
+// litSpan returns source row y's lit span: all of an img row, none of a
+// plan row that shows no frame, and the rest of a plan row outside the
+// channel's certified surround.
+func (o *optics) litSpan(y int) span {
+	switch {
+	case o.img != nil:
+		return span{0, o.w}
+	case o.rows[y].B == nil:
+		return span{}
+	}
+	return span{int(o.lo[y]), int(o.hi[y])}
 }
 
 // source returns source row y: the plan's frame(s) sampled through the
@@ -327,17 +346,17 @@ func (o *optics) source(y int) []colorspace.RGB {
 		return o.img.Pix[y*o.w : (y+1)*o.w : (y+1)*o.w]
 	}
 	buf := o.src[y&1]
-	r := o.rows[y]
-	if r.B == nil {
-		clear(buf)
+	sp := o.litSpan(y)
+	if sp.lo >= sp.hi {
+		clear(buf) // no frame shown, or all certified dark surround
 		return buf
 	}
-	lo, hi := int(o.lo[y]), int(o.hi[y])
-	clear(buf[:lo]) // the certified dark surround of the screen
-	clear(buf[hi:])
+	clear(buf[:sp.lo]) // the certified dark surround of the screen
+	clear(buf[sp.hi:])
+	r := o.rows[y]
 	blends := r.blends()
 	fy, fw, fh := float64(y), float64(o.w), float64(o.h)
-	for x := lo; x < hi; x++ {
+	for x := sp.lo; x < sp.hi; x++ {
 		// Captured pixel -> ideal pinhole position (lens model) -> screen
 		// position (inverse perspective).
 		src := o.inv.Apply(o.lens.Apply(geometry.Point{X: float64(x), Y: fy}))
@@ -363,16 +382,21 @@ func lerpRGB(a, b colorspace.RGB, t float64) colorspace.RGB {
 
 // hpass runs the horizontal Gaussian over source row s into its ring slot
 // and advances the uniform-window counters; prev is source row s-1.
+//
+// An interior column whose window misses the row's lit span sees black
+// only, and black blurs to exactly 0 on every path (0/ksum, hflat[0]), so
+// it gets 0 and its vrun restarts without reading a pixel.
 func (o *optics) hpass(s int, cur, prev []colorspace.RGB) {
 	b, w := o.blur, o.w
 	half, taps := b.half, len(b.kernel)
-	base := (s % taps) * 3 * w
+	slot := s % taps
+	base := slot * 3 * w
 	tr := o.ring[base : base+w : base+w]
 	tg := o.ring[base+w : base+2*w : base+2*w]
 	tb := o.ring[base+2*w : base+3*w : base+3*w]
-	// Columns [lo, hi) have the whole kernel in bounds horizontally.
-	lo := min(half, w)
-	hi := max(w-half, lo)
+	// Columns [in0, in1) have the whole kernel in bounds horizontally.
+	in0 := min(half, w)
+	in1 := max(w-half, in0)
 	edge := func(x int) {
 		var r, g, bl, wsum float64
 		for k, kv := range b.kernel {
@@ -388,23 +412,41 @@ func (o *optics) hpass(s int, cur, prev []colorspace.RGB) {
 		}
 		tr[x], tg[x], tb[x] = r/wsum, g/wsum, bl/wsum
 	}
-	for x := 0; x < lo; x++ {
+	for x := 0; x < in0; x++ {
 		edge(x)
 	}
-	for x := hi; x < w; x++ {
+	for x := in1; x < w; x++ {
 		edge(x)
 	}
-	// run is the length of the run of equal pixels ending at column j; the
-	// window of column x = j-half is one colour when it spans the window.
+	// Of the interior columns, [x0, x1) have a window that reaches the lit
+	// span.
+	sp := o.litSpan(s)
+	o.spans[slot] = sp
+	x0, x1 := max(sp.lo-half, in0), min(sp.hi+half, in1)
+	dark := func(a, z int) {
+		clear(tr[a:z])
+		clear(tg[a:z])
+		clear(tb[a:z])
+		clear(o.vrun[a:z])
+	}
+	if sp.lo >= sp.hi || x0 >= x1 {
+		dark(in0, in1)
+		return
+	}
+	dark(in0, x0)
+	dark(x1, in1)
+	// run is the length of the run of equal pixels ending at column j,
+	// counted from x0-half, the left end of column x0's window; the window
+	// of column x = j-half is one colour when the run spans it.
 	run := 0
-	for j := 0; j < w; j++ {
-		if j > 0 && cur[j] == cur[j-1] {
+	for j := x0 - half; j < min(x1+half, w); j++ {
+		if j > x0-half && cur[j] == cur[j-1] {
 			run++
 		} else {
 			run = 1
 		}
 		x := j - half
-		if x < lo {
+		if x < x0 {
 			continue
 		}
 		p := cur[x]
@@ -446,8 +488,25 @@ func (o *optics) vpass(y int, cur []colorspace.RGB) []colorspace.RGB {
 	}
 	dst := o.vrow
 	if y >= half && y < h-half {
-		// Interior row: the whole kernel is in bounds vertically.
-		for x := 0; x < w; x++ {
+		// Interior row: the whole kernel is in bounds vertically, and the
+		// ring holds exactly the window's source rows. A column more than
+		// half beyond each of their lit spans has 0 at every tap (hpass),
+		// and so blurs to 0 on every path (clampRound(0/ksum), flat[0]):
+		// only [x0, x1) is computed.
+		x0, x1 := w, 0
+		for _, sp := range o.spans {
+			if sp.lo < sp.hi {
+				x0, x1 = min(x0, sp.lo-half), max(x1, sp.hi+half)
+			}
+		}
+		x0, x1 = max(x0, 0), min(x1, w)
+		if x0 >= x1 {
+			clear(dst)
+			return dst
+		}
+		clear(dst[:x0])
+		clear(dst[x1:])
+		for x := x0; x < x1; x++ {
 			if o.vrun[x] >= int32(taps) {
 				p := cur[x]
 				dst[x] = colorspace.RGB{R: b.flat[p.R], G: b.flat[p.G], B: b.flat[p.B]}
@@ -535,9 +594,24 @@ func clampRound(v float64) uint8 {
 	return uint8(v + 0.5)
 }
 
+// noiseRing is how many rows of noise the sensor goroutine may hold drawn
+// ahead of the first unfinished row, and wakeBatch how many rows it draws
+// between wake-ups of a caller waiting for noise (wakeBatch <= noiseRing,
+// so a waiting caller is always woken before the ring fills).
+const (
+	noiseRing = 8
+	wakeBatch = 4
+)
+
 // sensor is the sensor stage of one capture: spatially correlated chroma
 // noise, screen brightness, ambient veiling light and per-pixel Gaussian
 // noise, applied in place to each row the optical stage publishes.
+//
+// Its goroutine (help) makes the capture's only PRNG draws after it
+// starts: each row's noise, in scan order, into a ring. Either goroutine
+// finishes a row once it is drawn and emitted, claiming it by
+// compare-and-swap on next; a slot is redrawn only after its row's done
+// flag is set. Neither goroutine spins.
 type sensor struct {
 	w, h int
 	out  *raster.Image
@@ -555,8 +629,23 @@ type sensor struct {
 	cw     int
 	scale  int
 
-	sd    float64   // per-pixel noise standard deviation; <= 0 is off
-	noise []float64 // the current row's R,G,B draws; empty when sd <= 0
+	sd float64 // per-pixel noise standard deviation; <= 0 is off
+	// noise is the ring of drawn rows, 3·w R,G,B draws each: row y's sit
+	// in slot y mod noiseRing. Empty when sd <= 0.
+	noise []float64
+
+	// drawn counts the rows whose noise is in the ring (written by the
+	// sensor goroutine), emitted the output rows the optical stage has
+	// written (written by the caller), and next is the first row not yet
+	// claimed. done[y] is set once row y is finished.
+	drawn, emitted, next atomic.Int64
+	done                 []atomic.Bool
+	// toHelper wakes the sensor goroutine after the caller emits or
+	// finishes a row; toCaller wakes the caller every wakeBatch drawn rows
+	// and after the last. A wake-up never blocks its sender, and a stale
+	// one costs its receiver one extra look.
+	toHelper, toCaller chan struct{}
+	joined             sync.WaitGroup
 }
 
 // prepareSensor readies s as the sensor stage of a w x h capture under
@@ -570,7 +659,7 @@ func (ch *Channel) prepareSensor(s *sensor, w, h int) {
 	}
 	s.noise = s.noise[:0]
 	if s.sd > 0 {
-		s.noise = grow(s.noise, 3*w)
+		s.noise = grow(s.noise, 3*w*min(h, noiseRing))
 	}
 	for c := range s.coarse {
 		s.coarse[c] = s.coarse[c][:0]
@@ -589,26 +678,117 @@ func (ch *Channel) prepareSensor(s *sensor, w, h int) {
 			}
 		}
 	}
+	s.drawn.Store(0)
+	s.emitted.Store(0)
+	s.next.Store(0)
+	s.done = grow(s.done, h)
+	for y := range s.done {
+		s.done[y].Store(false)
+	}
+	if s.toHelper == nil {
+		s.toHelper, s.toCaller = make(chan struct{}, 1), make(chan struct{}, 1)
+	}
 }
 
-// run finishes the capture's rows in scan order as ready delivers them.
-// Each row's noise is drawn before its row arrives, overlapping the draws
-// with the optical stage. It returns early if ready closes first.
-func (s *sensor) run(ready <-chan int) {
-	for y := 0; y < s.h; y++ {
-		for i := range s.noise {
-			s.noise[i] = s.rng.NormFloat64() * s.sd
-		}
-		if _, ok := <-ready; !ok {
+// help is the sensor goroutine. It draws the next row's noise whenever the
+// ring has room, finishes the next row itself only when the ring is full,
+// and returns once every row is claimed.
+func (s *sensor) help() {
+	defer s.joined.Done()
+	h := int64(s.h)
+	var d int64 // rows drawn
+	for {
+		c := s.next.Load()
+		switch {
+		case c >= h:
 			return
+		case d < h && (d < noiseRing || s.done[d-noiseRing].Load()):
+			slot := s.slot(int(d))
+			for i := range slot {
+				slot[i] = s.rng.NormFloat64() * s.sd
+			}
+			d++
+			s.drawn.Store(d)
+			if d%wakeBatch == 0 || d == h {
+				wake(s.toCaller)
+			}
+		case c < d && c < s.emitted.Load():
+			s.claim(c)
+		default:
+			<-s.toHelper
 		}
-		s.finish(y)
 	}
+}
+
+// finishDrawn is the caller's share of the sensor stage, run once all its
+// optical rows are emitted: it finishes rows whose noise is drawn until
+// every row is claimed, and sleeps while the sensor goroutine draws.
+func (s *sensor) finishDrawn() {
+	h := int64(s.h)
+	for {
+		c := s.next.Load()
+		switch {
+		case c >= h:
+			return
+		case c < s.drawn.Load():
+			if s.claim(c) {
+				wake(s.toHelper)
+			}
+		default:
+			<-s.toCaller
+		}
+	}
+}
+
+// claim finishes row c if it is still the first unclaimed row, and reports
+// whether it did. Row c must be drawn and emitted.
+func (s *sensor) claim(c int64) bool {
+	if !s.next.CompareAndSwap(c, c+1) {
+		return false
+	}
+	s.finish(int(c))
+	s.done[c].Store(true)
+	return true
+}
+
+// publish hands output row y, just written, to the sensor stage.
+func (s *sensor) publish(y int) {
+	s.emitted.Store(int64(y) + 1)
+	wake(s.toHelper)
+}
+
+// stop claims every row still unclaimed, wakes the sensor goroutine and
+// joins it. After a whole capture every row is claimed already; after a
+// panic in the caller the goroutine returns once its current row is done.
+func (s *sensor) stop() {
+	s.next.Store(int64(s.h))
+	wake(s.toHelper)
+	s.joined.Wait()
+}
+
+// wake posts a wake-up on a one-slot channel without blocking.
+func wake(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// slot returns row y's R,G,B noise draws in the ring, or nil when noise is
+// off.
+func (s *sensor) slot(y int) []float64 {
+	if len(s.noise) == 0 {
+		return nil
+	}
+	n := 3 * s.w
+	i := y % noiseRing * n
+	return s.noise[i : i+n : i+n]
 }
 
 // finish applies the sensor model to output row y in place.
 func (s *sensor) finish(y int) {
 	row := s.out.Pix[y*s.w : (y+1)*s.w : (y+1)*s.w]
+	noise := s.slot(y)
 	chroma := len(s.coarse[0]) > 0
 	var y0 int
 	var ty float64
@@ -642,8 +822,8 @@ func (s *sensor) finish(y int) {
 			cr, cg, cb = c[0]*gain, c[1]*gain, c[2]*gain
 		}
 		var nr, ng, nb float64
-		if len(s.noise) > 0 {
-			nr, ng, nb = s.noise[3*x], s.noise[3*x+1], s.noise[3*x+2]
+		if len(noise) > 0 {
+			nr, ng, nb = noise[3*x], noise[3*x+1], noise[3*x+2]
 		}
 		row[x] = colorspace.RGB{
 			R: clampRound(s.lit[p.R] + (nr + cr)),

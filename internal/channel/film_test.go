@@ -340,8 +340,9 @@ func TestFilmReusesScratchAcrossCaptures(t *testing.T) {
 }
 
 // TestFilmWarmCaptureAllocations: with the scratch pool warm, a capture
-// allocates only its output image (header and pixels), its sensor
-// goroutine's two channels and the goroutine's closure.
+// allocates only its output image (header and pixels) and its sensor
+// goroutine's closure, three times in all; the hand-off state between
+// the goroutines lives in the pooled scratch.
 func TestFilmWarmCaptureAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its cache at random under -race; the allocation bound is measured without it")
@@ -388,15 +389,106 @@ func TestFilmMatchesReferenceFullFrame(t *testing.T) {
 	}
 }
 
-// TestCaptureEndsSensorGoroutine: every capture leaves no sensor
-// goroutine behind — including one whose optical stage fails mid-capture,
-// after the sensor goroutine has started.
+// namedFilmCase is one of namedFilmCases.
+type namedFilmCase struct {
+	name string
+	filmCase
+}
+
+// namedFilmCases are captures chosen for the capture kernel's schedule
+// rather than drawn: heights around the noise ring's size, each sensor
+// and blur stage switched on or off alone, a plan that lights only a few
+// rows, one with nothing certified, a capture narrower than its blur
+// kernel, and a plan whose rows are often black.
+func namedFilmCases() []namedFilmCase {
+	rng := rand.New(rand.NewSource(24))
+	var cases []namedFilmCase
+	add := func(name string, cfg Config, w, h int) *filmCase {
+		f := genFrame(rng, w, h)
+		rows := make([]Row, h)
+		for y := range rows {
+			rows[y].B = f
+		}
+		cases = append(cases, namedFilmCase{name, filmCase{cfg: cfg, frames: []*raster.Image{f}, rows: rows, kind: "capture"}})
+		return &cases[len(cases)-1].filmCase
+	}
+	for _, h := range []int{1, 2, noiseRing - 1, noiseRing, noiseRing + 1, 3*noiseRing + wakeBatch - 1} {
+		add(fmt.Sprintf("height %d", h), DefaultConfig(), 64, h)
+	}
+	cfg := DefaultConfig()
+	cfg.NoiseStdDev = 0
+	add("no pixel noise", cfg, 96, 54)
+	cfg = DefaultConfig()
+	cfg.ChromaNoiseStdDev = 6
+	add("chroma noise", cfg, 96, 54)
+	cfg = DefaultConfig()
+	cfg.BlurSigma = 0
+	add("no blur", cfg, 96, 54)
+	cfg = DefaultConfig()
+	cfg.MotionBlurPx = 5
+	add("motion blur", cfg, 96, 54)
+	cfg = DefaultConfig()
+	cfg.DistanceCM, cfg.ViewAngleDeg = 30, 60
+	add("few lit rows", cfg, 96, 54)
+	cfg = DefaultConfig()
+	cfg.DistanceCM = 6
+	add("nothing certified", cfg, 96, 54)
+	cfg = DefaultConfig()
+	cfg.BlurSigma = 2 // 13 taps
+	add("narrower than the kernel", cfg, 11, 8)
+	c := add("black rows", DefaultConfig(), 96, 54)
+	c.kind = "rows"
+	for y := range c.rows {
+		if y%20 < 7 {
+			c.rows[y].B = nil
+		}
+	}
+	return cases
+}
+
+// TestFilmMatchesReferenceNamedCases holds the kernel to the whole-frame
+// reference on namedFilmCases, and checks that each case films what its
+// name says.
+func TestFilmMatchesReferenceNamedCases(t *testing.T) {
+	for _, c := range namedFilmCases() {
+		t.Run(c.name, func(t *testing.T) {
+			w, h := c.frames[0].W, c.frames[0].H
+			lo, hi := MustNew(c.cfg).Surround(w, h)
+			lit, certified := 0, 0
+			for y := range lo {
+				if lo[y] < hi[y] {
+					lit++
+				}
+				certified += int(lo[y]) + w - int(hi[y])
+			}
+			taps := len(MustNew(c.cfg).blurKernel())
+			switch {
+			case c.name == "few lit rows" && lit > h/3:
+				t.Fatalf("%d of %d rows reach the screen", lit, h)
+			case c.name == "nothing certified" && certified > 0:
+				t.Fatalf("%d pixels certified", certified)
+			case c.name == "narrower than the kernel" && w >= taps:
+				t.Fatalf("%d px wide, %d taps", w, taps)
+			}
+			checkIdentical(t, c.filmCase)
+		})
+	}
+}
+
+// TestCaptureEndsSensorGoroutine: captures leave no sensor goroutine
+// behind. After 100 captures through namedFilmCases, every tenth cut
+// short by a panic in its optical stage after the sensor goroutine has
+// started, the goroutine count is back where it started.
 func TestCaptureEndsSensorGoroutine(t *testing.T) {
+	cases := namedFilmCases()
 	before := runtime.NumGoroutine()
-	frame := testFrame()
-	for i := 0; i < 20; i++ {
-		if _, err := MustNew(DefaultConfig()).Capture(frame); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 100; i++ {
+		c := cases[i%len(cases)]
+		if i%10 != 9 {
+			if _, _, err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
 		func() {
 			defer func() {
@@ -404,18 +496,15 @@ func TestCaptureEndsSensorGoroutine(t *testing.T) {
 					t.Fatal("a plan shorter than the capture filmed")
 				}
 			}()
-			rows := make([]Row, frame.H/2) // the optical stage runs off its end
-			for y := range rows {
-				rows[y].B = frame
-			}
-			ch := MustNew(DefaultConfig())
-			ch.scan(rows, nil, frame.W, frame.H, ch.blurKernel())
+			ch := MustNew(c.cfg)
+			f := c.frames[0]
+			ch.scan(c.rows[:f.H/2], nil, f.W, f.H, ch.blurKernel()) // the optical stage runs off its end
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the captures, %d before", runtime.NumGoroutine(), before)
+			t.Fatalf("%d goroutines after 100 captures, %d before", runtime.NumGoroutine(), before)
 		}
 		runtime.Gosched()
 	}

@@ -136,13 +136,15 @@ func TestSurroundCertified(t *testing.T) {
 
 // FuzzSurround checks the same soundness over fuzzed conditions: any
 // distance, angle, lens and jitter values, NaN and infinities included,
-// at sizes up to 200x150. Conditions the channel rejects are skipped,
-// since it never films them.
+// at sizes up to 200x150. Finite conditions the channel rejects are
+// skipped, since it never films them; non-finite ones, which Validate
+// rejects too, are certified directly on a Channel built without it, as
+// checkSurround does, and must certify nothing.
 func FuzzSurround(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dist, angle, k1, k2, jitter float64, wb, hb uint8) {
 		cfg := DefaultConfig()
 		cfg.DistanceCM, cfg.ViewAngleDeg, cfg.LensK1, cfg.LensK2, cfg.JitterPx = dist, angle, k1, k2, jitter
-		if cfg.Validate() != nil {
+		if !nonFinite(cfg) && cfg.Validate() != nil {
 			return
 		}
 		w, h := 1+int(wb)%200, 1+int(hb)%150

@@ -9,9 +9,10 @@
 // the per-capture pipeline (FixImage, DecodeGrid, DecodeFrame,
 // AssemblePayload) and the receiver loop (fresh-receiver and steady-state
 // variants, plus the batched ingest). The camera_film kernels time the
-// simulated link a transfer films through, camera_surround the one-off
-// certification of a channel's dark surround, and transport_round one
-// whole streamed round of the session path. Snapshots from different hosts
+// simulated link a transfer films through at 12, 6 (close) and 20 cm
+// (far), camera_surround the one-off certification of a channel's dark
+// surround, and transport_round one whole streamed round of the session
+// path. Snapshots from different hosts
 // are not comparable — the header records CPU count and git revision so a
 // reader can tell.
 package perf
@@ -261,8 +262,9 @@ func perfBatch(c *core.Codec) ([]*raster.Image, error) {
 // transfer benchmark's geometry) shown at 10 fps with the default LCD
 // transition through the default camera, with the default channel at the
 // given distance: about 13 captures, some straddling a frame switch.
-// At 12 cm a dark surround frames the screen; at 6 cm the screen fills the
-// capture, so fewer blur windows are one colour.
+// At 12 cm a certified dark surround covers 62% of each capture and at
+// 20 cm 86%; at 6 cm the screen fills the capture and nothing is
+// certified, so every pixel goes through the optics and the blur.
 func filmKernel(distanceCM float64) func() (func(*testing.B), error) {
 	return func() (func(*testing.B), error) {
 		g, err := layout.NewGeometry(640, 360, 12)
@@ -555,6 +557,7 @@ var kernels = []kernel{
 	}},
 	{"camera_film", filmKernel(channel.ReferenceDistanceCM)},
 	{"camera_film_close", filmKernel(6)},
+	{"camera_film_far", filmKernel(20)},
 	{"camera_surround", surroundKernel},
 	{"transport_round", roundKernel},
 }

@@ -3,6 +3,7 @@ package rainbar_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -60,6 +61,34 @@ func TestNewRejectsDisplayRateOutOfRange(t *testing.T) {
 	for _, fps := range []int{1, 255} {
 		if _, err := rainbar.New(rainbar.WithDisplayRate(fps)); err != nil {
 			t.Errorf("WithDisplayRate(%d): %v", fps, err)
+		}
+	}
+}
+
+// TestNewChannelRejectsNonFinite: the facade refuses a channel condition
+// with a NaN or infinite value in any float field.
+func TestNewChannelRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name  string
+		field func(*rainbar.ChannelConfig) *float64
+	}{
+		{"DistanceCM", func(c *rainbar.ChannelConfig) *float64 { return &c.DistanceCM }},
+		{"ViewAngleDeg", func(c *rainbar.ChannelConfig) *float64 { return &c.ViewAngleDeg }},
+		{"ScreenBrightness", func(c *rainbar.ChannelConfig) *float64 { return &c.ScreenBrightness }},
+		{"BlurSigma", func(c *rainbar.ChannelConfig) *float64 { return &c.BlurSigma }},
+		{"NoiseStdDev", func(c *rainbar.ChannelConfig) *float64 { return &c.NoiseStdDev }},
+		{"ChromaNoiseStdDev", func(c *rainbar.ChannelConfig) *float64 { return &c.ChromaNoiseStdDev }},
+		{"LensK1", func(c *rainbar.ChannelConfig) *float64 { return &c.LensK1 }},
+		{"LensK2", func(c *rainbar.ChannelConfig) *float64 { return &c.LensK2 }},
+		{"JitterPx", func(c *rainbar.ChannelConfig) *float64 { return &c.JitterPx }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := rainbar.DefaultChannelConfig()
+			*f.field(&cfg) = v
+			if _, err := rainbar.NewChannel(cfg); err == nil {
+				t.Errorf("NewChannel accepted %s = %v", f.name, v)
+			}
 		}
 	}
 }
