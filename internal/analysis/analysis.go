@@ -119,10 +119,6 @@ func DefaultConfig() Config {
 		DecodeRoots: map[string]bool{
 			"core": true, "cobra": true, "lightsync": true, "transport": true,
 		},
-		PoolPairs: map[string]string{
-			// raster's float scratch pool (Sharpness).
-			"getFloats": "putFloats",
-		},
 		HotPathFuncs: map[string]bool{
 			"Codec.extractGrid": true, "Codec.DecodeFrame": true,
 			"Receiver.ingest": true,

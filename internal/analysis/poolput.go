@@ -6,8 +6,8 @@ import (
 )
 
 // AnalyzerPoolPut (RB-C1) checks sync.Pool hygiene: a function that takes
-// a value out of a pool (sync.Pool.Get, or a configured accessor pair like
-// raster's getFloats/putFloats) must either return it to the pool, hand it
+// a value out of a pool (sync.Pool.Get, or a configured accessor pair,
+// Config.PoolPairs) must either return it to the pool, hand it
 // to a Put/Recycle/Free call, return it to the caller (ownership
 // transfer), or store it into a longer-lived structure. A Get with none of
 // those is a leak: the pool silently degrades to plain allocation and the

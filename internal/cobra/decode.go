@@ -187,7 +187,7 @@ func (c *Codec) DecodeGrid(img *raster.Image) (*GridDecode, error) {
 	gd := &GridDecode{
 		Header:    hdr,
 		Cells:     make([]colorspace.Color, len(c.dataCells)),
-		Sharpness: img.Sharpness(),
+		Sharpness: img.Sharpness(nil),
 	}
 	for i, cell := range c.dataCells {
 		gd.Cells[i] = sample(cell.row, cell.col)
@@ -246,7 +246,7 @@ func (rx *Receiver) Ingest(img *raster.Image) error {
 	first := rx.pending
 	rx.pending = nil
 	selected := first
-	if img.Sharpness() > first.Sharpness() {
+	if img.Sharpness(nil) > first.Sharpness(nil) {
 		selected = img
 	}
 	return rx.decodeSelected(selected)

@@ -114,42 +114,29 @@ func BenchmarkReceiverProcessSteady(b *testing.B) {
 	// BenchmarkReceiverProcess with one long-lived receiver recycled via
 	// Reset between batches — the steady state a continuously-running
 	// receiver reaches, where every decode intermediate comes from scratch
-	// buffers. The contract (enforced by TestReceiverSteadyStateAllocFree
-	// and scripts/ci.sh) is 0 allocs/op here.
-	c := testCodec(b)
-	ch := channel.MustNew(channel.DefaultConfig())
-	const batch = 4
-	caps := make([]*raster.Image, batch)
-	for i := range caps {
-		f, err := c.EncodeFrame(payloadFor(c, int64(i)), uint16(i), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		caps[i], err = ch.Capture(f.Render())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	rx := NewReceiver(c)
-	process := func() {
-		for _, capt := range caps {
-			if err := rx.Ingest(capt); err != nil {
+	// buffers — with the recovery ladder off and on. The contract (enforced
+	// by TestReceiverSteadyStateAllocFree and scripts/ci.sh) is 0 B/op and
+	// 0 allocs/op in both.
+	for _, tc := range []struct {
+		name   string
+		budget int
+	}{
+		{"recovery_off", 0},
+		{"recovery_on", DefaultRecoveryBudget},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := NewCodec(Config{Geometry: testGeometry(b), DisplayRate: 10, AppType: 1, RecoveryBudget: tc.budget})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		rx.Flush()
-		for i := 0; i < batch; i++ {
-			if _, ok := rx.Frame(uint16(i)); !ok {
-				b.Fatalf("frame %d not decoded", i)
+			process := steadyReceiver(b, c)
+			process() // warm the scratch buffers and freelists
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				process()
 			}
-		}
-		rx.Reset()
-	}
-	process() // warm the scratch buffers and freelists
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		process()
+		})
 	}
 }
 

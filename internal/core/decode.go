@@ -105,42 +105,48 @@ func (c *Codec) DecodeGrid(img *raster.Image) (*GridDecode, error) {
 // the asymmetric corner trackers (green left, red right) reveal a
 // half-turn orientation, and the decode reruns on the rotated image.
 func (c *Codec) DecodeGridLoose(img *raster.Image) (*GridDecode, error) {
-	return c.decodeGridLooseScratch(img, nil)
+	return c.decodeGridLoose(img, new(decodeScratch))
 }
 
-// decodeGridLooseScratch is DecodeGridLoose threading an optional decode
-// scratch. With a scratch, the returned grid (and its cell tables) is
-// scratch-owned: valid only until the next decode using the same scratch.
-// The rotated retry may reuse the scratch because ErrNoCornerTrackers is
-// raised before any scratch-owned result is returned.
-func (c *Codec) decodeGridLooseScratch(img *raster.Image, sc *decodeScratch) (*GridDecode, error) {
+// decodeGridLoose is DecodeGridLoose on sc: the returned grid (and its
+// cell tables) is scratch-owned, valid only until the next decode using
+// the same scratch.
+func (c *Codec) decodeGridLoose(img *raster.Image, sc *decodeScratch) (*GridDecode, error) {
+	gd, _, _, rot, err := c.decodeEitherWay(img, c.newLadder(), sc)
+	// The grid keeps no reference to the image it was decoded from, so the
+	// rotated copy goes back to the pool.
+	raster.Recycle(rot)
+	return gd, err
+}
+
+// decodeEitherWay runs decodeGridFix on img and, when no corner trackers
+// are found, on its half-turn. rot is the rotated copy when that is what
+// decoded (the caller recycles it), nil otherwise. The retry may reuse sc
+// and lad: ErrNoCornerTrackers is raised before any scratch-owned result
+// is returned or any hypothesis is tried.
+func (c *Codec) decodeEitherWay(img *raster.Image, lad *ladder, sc *decodeScratch) (gd *GridDecode, det *detection, lm *locatorMap, rot *raster.Image, err error) {
 	c.rec.Inc(obs.MCoreCaptures, 1)
-	gd, err := c.decodeGridOriented(img, sc)
-	if err != nil && errors.Is(err, ErrNoCornerTrackers) {
-		// The grid keeps no reference to the image it was decoded from,
-		// so the rotated copy goes back to the pool either way.
-		rot := img.Rotate180()
-		gd2, err2 := c.decodeGridOriented(rot, sc)
-		raster.Recycle(rot)
-		if err2 == nil {
-			return gd2, nil
-		}
+	gd, det, lm, err = c.decodeGridFix(img, lad, sc)
+	if err == nil || !errors.Is(err, ErrNoCornerTrackers) {
+		return gd, det, lm, nil, err
 	}
-	return gd, err
+	rot = img.Rotate180()
+	gd2, det2, lm2, err2 := c.decodeGridFix(rot, lad, sc)
+	if err2 != nil {
+		raster.Recycle(rot)
+		return nil, nil, nil, nil, err
+	}
+	return gd2, det2, lm2, rot, nil
 }
 
-func (c *Codec) decodeGridOriented(img *raster.Image, sc *decodeScratch) (*GridDecode, error) {
-	gd, _, _, err := c.decodeGridFix(img, c.newLadder(), sc)
-	return gd, err
-}
-
-// decodeGridFix is decodeGridOriented exposing the geometric fix, so the
-// recovery ladder can re-extract cells under alternative thresholds. Two
-// grid-level hypotheses run against the caller's ladder: a global locator
-// re-scan when progressive prediction loses the middle column, and a
-// proactive μ-sweep when the extraction classifies more data cells black
-// than the erasure budget could ever absorb (a mis-estimated T_v is then
-// the prime suspect).
+// decodeGridFix runs detection, localization and extraction on sc,
+// exposing the geometric fix so the recovery ladder can re-extract cells
+// under alternative thresholds. Two grid-level hypotheses run against the
+// caller's ladder: a global locator re-scan when progressive prediction
+// loses the middle column, and a proactive μ-sweep when the extraction
+// classifies more data cells black than the erasure budget could ever
+// absorb (a mis-estimated T_v is then the prime suspect). The returned
+// grid is sc.gd[0].
 func (c *Codec) decodeGridFix(img *raster.Image, lad *ladder, sc *decodeScratch) (*GridDecode, *detection, *locatorMap, error) {
 	endDetect := c.rec.Span(obsSpanDetect)
 	det, err := c.detect(img, sc)
@@ -161,15 +167,14 @@ func (c *Codec) decodeGridFix(img *raster.Image, lad *ladder, sc *decodeScratch)
 		}
 		lad.win(HypRescan)
 	}
+	endExtract := c.rec.Span(obsSpanExtract)
 	// One Sharpness pass serves the base extraction and every μ-sweep
 	// re-extraction of the same capture.
-	sharp := img.Sharpness()
-	endExtract := c.rec.Span(obsSpanExtract)
-	gd, err := c.extractGrid(img, det, lm, sharp, sc)
+	sc.luma = grow(sc.luma, 2*img.W)
+	sharp := img.Sharpness(sc.luma)
+	gd := &sc.gd[0]
+	c.extractGrid(img, det, lm, sharp, sc, gd)
 	endExtract()
-	if err != nil {
-		return gd, det, lm, err
-	}
 	if c.cfg.RecoveryBudget > 0 && det.tvOK && !c.cfg.RecoveryErasuresOnly && c.erasureOverflow(gd.Cells) {
 		bestBad := nonDataCells(gd.Cells)
 		for _, cand := range recoveryMus {
@@ -178,15 +183,11 @@ func (c *Codec) decodeGridFix(img *raster.Image, lad *ladder, sc *decodeScratch)
 			}
 			det2 := *det
 			det2.tv = colorspace.TVForMu(det.vb, det.vo, cand.mu)
-			// sc stays out of re-extractions: gd may be scratch-owned, and a
-			// second scratch extraction would overwrite it mid-comparison.
-			gd2, err2 := c.extractGrid(img, &det2, lm, sharp, nil)
-			if err2 != nil {
-				continue
-			}
+			c.extractGrid(img, &det2, lm, sharp, sc, &sc.gd[1])
 			// Adopt only a strictly less suspect reading.
-			if bad := nonDataCells(gd2.Cells); bad < bestBad {
-				gd, bestBad = gd2, bad
+			if bad := nonDataCells(sc.gd[1].Cells); bad < bestBad {
+				sc.gd[0], sc.gd[1] = sc.gd[1], sc.gd[0]
+				bestBad = bad
 				lad.win(cand.hyp)
 			}
 		}
@@ -250,36 +251,24 @@ func (c *Codec) sampleCell(img *raster.Image, cl colorspace.Classifier, lm *loca
 }
 
 // extractGrid is the sampling/classification back half of the grid decode:
-// header strip, data cells and tracking bars, given a geometric fix. sharp
-// is the capture's precomputed focus metric (hoisted so μ-sweep
-// re-extractions of one capture share a single Sharpness pass). With a
-// scratch, the returned GridDecode and all its tables are scratch-owned.
-func (c *Codec) extractGrid(img *raster.Image, det *detection, lm *locatorMap, sharp float64, sc *decodeScratch) (*GridDecode, error) {
+// header strip, data cells and tracking bars, given a geometric fix,
+// written into gd (one of sc's grid slots, reusing its tables). sharp is
+// the capture's precomputed focus metric (hoisted so μ-sweep
+// re-extractions of one capture share a single Sharpness pass).
+func (c *Codec) extractGrid(img *raster.Image, det *detection, lm *locatorMap, sharp float64, sc *decodeScratch, gd *GridDecode) {
 	g := c.cfg.Geometry
 	cl := colorspace.NewClassifier(det.tv)
 
 	// Header strip.
 	hdrCells := g.HeaderCells()
-	var strip []colorspace.Color
-	if sc != nil {
-		strip = grow(sc.strip, len(hdrCells))
-		sc.strip = strip
-	} else {
-		//lint:allow RB-P1 cold fallback: sc==nil only on the one-shot public API, never the receiver loop
-		strip = make([]colorspace.Color, len(hdrCells))
-	}
+	strip := grow(sc.strip, len(hdrCells))
+	sc.strip = strip
 	for i, cell := range hdrCells {
 		strip[i] = c.sampleCell(img, cl, lm, cell.Row, cell.Col)
 	}
 	hdr, hdrErr := header.DecodeColors(strip)
 
 	dataCells := g.DataCells()
-	var gd *GridDecode
-	if sc != nil {
-		gd = &sc.gd
-	} else {
-		gd = &GridDecode{}
-	}
 	cells := grow(gd.Cells, len(dataCells))
 	barColors := grow(gd.BarColors, g.Rows())
 	barOK := grow(gd.BarOK, g.Rows())
@@ -361,7 +350,6 @@ func (c *Codec) extractGrid(img *raster.Image, det *detection, lm *locatorMap, s
 			gd.BarOK[r] = true
 		}
 	}
-	return gd, nil
 }
 
 // LocateCenters runs detection and progressive localization only and
@@ -369,11 +357,12 @@ func (c *Codec) extractGrid(img *raster.Image, det *detection, lm *locatorMap, s
 // with Geometry.DataCells(). Used by the localization-error experiment
 // (paper Fig. 3/4) to compare against ground truth.
 func (c *Codec) LocateCenters(img *raster.Image) ([]geometry.Point, error) {
-	det, err := c.detect(img, nil)
+	sc := new(decodeScratch)
+	det, err := c.detect(img, sc)
 	if err != nil {
 		return nil, err
 	}
-	lm, err := c.locateAll(img, det, nil)
+	lm, err := c.locateAll(img, det, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -395,28 +384,12 @@ func (c *Codec) LocateCenters(img *raster.Image) ([]geometry.Point, error) {
 // the parity budget of an unknown error, so flagging them doubles the
 // correction power exactly where the capture was weakest.
 func (c *Codec) AssemblePayload(cells []colorspace.Color, hdr header.Header) ([]byte, error) {
-	stream, suspect, err := c.packStream(cells)
-	if err != nil {
-		return nil, err
-	}
-	return c.decodePayload(stream, suspect, hdr.FrameChecksum)
+	return c.assembleWithLadder(cells, nil, hdr, nil, new(asmScratch))
 }
 
-// packStream packs data-cell colors into the frame's data-area byte
+// packStreamInto packs data-cell colors into the frame's data-area byte
 // stream, marking bytes touched by a black (non-data) cell as suspect.
-func (c *Codec) packStream(cells []colorspace.Color) (stream []byte, suspect []bool, err error) {
-	g := c.cfg.Geometry
-	if len(cells) != len(g.DataCells()) {
-		return nil, nil, fmt.Errorf("core: %d cells, want %d", len(cells), len(g.DataCells()))
-	}
-	stream = make([]byte, g.DataCapacityBytes())
-	suspect = make([]bool, len(stream))
-	c.packStreamInto(cells, stream, suspect)
-	return stream, suspect, nil
-}
-
-// packStreamInto is packStream writing into caller-provided buffers (both
-// DataCapacityBytes long; cleared here).
+// Both buffers are DataCapacityBytes long; they are cleared here.
 func (c *Codec) packStreamInto(cells []colorspace.Color, stream []byte, suspect []bool) {
 	clear(stream)
 	clear(suspect)
@@ -452,15 +425,17 @@ func (c *Codec) DecodeFrame(img *raster.Image) (header.Header, []byte, error) {
 // hypothesis is refused, the trace is nil, and behavior is bit-identical
 // to the single-shot decoder.
 func (c *Codec) DecodeFrameRecover(img *raster.Image) (header.Header, []byte, *RecoveryTrace, error) {
-	c.rec.Inc(obs.MCoreCaptures, 1)
+	return c.decodeFrame(img, new(decodeScratch), new(asmScratch))
+}
+
+// decodeFrame is DecodeFrameRecover on the given scratches; the returned
+// payload aliases as.payload.
+func (c *Codec) decodeFrame(img *raster.Image, sc *decodeScratch, as *asmScratch) (header.Header, []byte, *RecoveryTrace, error) {
 	lad := c.newLadder()
-	gd, det, lm, err := c.decodeGridFix(img, lad, nil)
-	if err != nil && errors.Is(err, ErrNoCornerTrackers) {
-		rot := img.Rotate180()
-		if gd2, det2, lm2, err2 := c.decodeGridFix(rot, lad, nil); err2 == nil {
-			gd, det, lm, err = gd2, det2, lm2, nil
-			img = rot
-		}
+	gd, det, lm, rot, err := c.decodeEitherWay(img, lad, sc)
+	if rot != nil {
+		defer raster.Recycle(rot)
+		img = rot
 	}
 	if err != nil {
 		return header.Header{}, nil, lad.result(), err
@@ -468,13 +443,13 @@ func (c *Codec) DecodeFrameRecover(img *raster.Image) (header.Header, []byte, *R
 	if !gd.HeaderOK {
 		return header.Header{}, nil, lad.result(), fmt.Errorf("core: header unreadable: %w", header.ErrCorrupt)
 	}
-	payload, err := c.assembleWithLadder(gd.Cells, gd.Conf, gd.Header, lad)
+	payload, err := c.assembleWithLadder(gd.Cells, gd.Conf, gd.Header, lad, as)
 	if err == nil {
 		return gd.Header, payload, lad.result(), nil
 	}
-	// Failure-driven μ-sweep: re-extract under the alternative thresholds
-	// and retry assembly. The header stays the base pass's — it already
-	// passed its CRCs there.
+	// Failure-driven μ-sweep: re-extract into the second grid slot under
+	// the alternative thresholds and retry assembly. The header stays the
+	// base pass's — it already passed its CRCs there.
 	if det.tvOK && !c.cfg.RecoveryErasuresOnly {
 		for _, cand := range recoveryMus {
 			if !lad.tryAttempt(cand.hyp) {
@@ -482,11 +457,9 @@ func (c *Codec) DecodeFrameRecover(img *raster.Image) (header.Header, []byte, *R
 			}
 			det2 := *det
 			det2.tv = colorspace.TVForMu(det.vb, det.vo, cand.mu)
-			gd2, err2 := c.extractGrid(img, &det2, lm, gd.Sharpness, nil)
-			if err2 != nil {
-				continue
-			}
-			if payload2, e := c.assembleWithLadder(gd2.Cells, gd2.Conf, gd.Header, lad); e == nil {
+			gd2 := &sc.gd[1]
+			c.extractGrid(img, &det2, lm, gd.Sharpness, sc, gd2)
+			if payload2, e := c.assembleWithLadder(gd2.Cells, gd2.Conf, gd.Header, lad, as); e == nil {
 				lad.win(cand.hyp)
 				return gd.Header, payload2, lad.result(), nil
 			}

@@ -32,15 +32,10 @@ const tvSamplesPerRegion = 64
 
 // estimateTV implements the paper's brightness assessment: divide the
 // capture into four regions, sample N pixels per region, and combine the
-// black and non-black mean values with μ (Eq. 2). sc (optional) supplies
-// the sample buffer.
+// black and non-black mean values with μ (Eq. 2). sc supplies the sample
+// buffer.
 func estimateTV(img *raster.Image, sc *decodeScratch) (tv, vb, vo float64, ok bool) {
-	var values []float64
-	if sc != nil {
-		values = grow(sc.tvValues, 4*tvSamplesPerRegion)[:0]
-	} else {
-		values = make([]float64, 0, 4*tvSamplesPerRegion)
-	}
+	values := grow(sc.tvValues, 4*tvSamplesPerRegion)[:0]
 	halfW, halfH := img.W/2, img.H/2
 	regions := [4][2]int{{0, 0}, {halfW, 0}, {0, halfH}, {halfW, halfH}}
 	// Deterministic low-discrepancy sampling: an 8x8 lattice per region.
@@ -56,9 +51,7 @@ func estimateTV(img *raster.Image, sc *decodeScratch) (tv, vb, vo float64, ok bo
 			}
 		}
 	}
-	if sc != nil {
-		sc.tvValues = values
-	}
+	sc.tvValues = values
 	vb, vo, ok = colorspace.EstimateTVClusters(values)
 	if !ok {
 		return colorspace.DefaultTV, 0, 0, false
@@ -73,8 +66,8 @@ const detectDownsample = 2
 
 // detect runs brightness assessment and corner-tracker detection on a
 // capture. It returns ErrNoCornerTrackers when either tracker is missing
-// or their mutual position is implausible. With a scratch, the returned
-// detection is scratch-owned.
+// or their mutual position is implausible. The returned detection is
+// scratch-owned.
 func (c *Codec) detect(img *raster.Image, sc *decodeScratch) (*detection, error) {
 	tv, vb, vo, tvOK := estimateTV(img, sc)
 	cl := colorspace.NewClassifier(tv)
@@ -82,11 +75,7 @@ func (c *Codec) detect(img *raster.Image, sc *decodeScratch) (*detection, error)
 	if img.W < 8 || img.H < 8 {
 		return nil, fmt.Errorf("core detect: capture %dx%d too small", img.W, img.H)
 	}
-	bs := new(vision.BlobScratch)
-	if sc != nil {
-		bs = &sc.blobs
-	}
-	blobs, mw, mh := bs.BlackBlobs(img, cl, detectDownsample)
+	blobs, mw, mh := sc.blobs.BlackBlobs(img, cl, detectDownsample)
 
 	left, right, err := findTrackers(img, blobs, mw, mh, cl)
 	if err != nil {
@@ -102,14 +91,8 @@ func (c *Codec) detect(img *raster.Image, sc *decodeScratch) (*detection, error)
 	if bst < 2 {
 		return nil, fmt.Errorf("%w: implausible block size %.2f px", ErrNoCornerTrackers, bst)
 	}
-	var det *detection
-	if sc != nil {
-		det = &sc.det
-	} else {
-		det = &detection{}
-	}
-	*det = detection{ctLeft: left, ctRight: right, bst: bst, tv: tv, vb: vb, vo: vo, tvOK: tvOK}
-	return det, nil
+	sc.det = detection{ctLeft: left, ctRight: right, bst: bst, tv: tv, vb: vb, vo: vo, tvOK: tvOK}
+	return &sc.det, nil
 }
 
 // findTrackers locates both corner trackers among the black blobs of the

@@ -20,11 +20,12 @@ type Fix struct {
 // FixImage runs brightness assessment, corner-tracker detection and
 // progressive locator localization on a capture.
 func (c *Codec) FixImage(img *raster.Image) (*Fix, error) {
-	det, err := c.detect(img, nil)
+	sc := new(decodeScratch)
+	det, err := c.detect(img, sc)
 	if err != nil {
 		return nil, err
 	}
-	lm, err := c.locateAll(img, det, nil)
+	lm, err := c.locateAll(img, det, sc)
 	if err != nil {
 		return nil, err
 	}

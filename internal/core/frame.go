@@ -169,42 +169,10 @@ func (c *Codec) EncodeAll(data []byte, startSeq uint16) ([]*Frame, error) {
 // nil plan means errors-only decoding.
 type planFunc func(off, n int) [][]int
 
-// decodePayload reverses encodeStream: split the data-area stream into RS
-// messages, correct each, and verify the header's frame checksum. suspect
-// marks stream bytes containing black-misread cells; they are passed to
-// RS as erasures when few enough to help (erasures beyond the parity
-// budget would guarantee failure, so a message with too many falls back
-// to errors-only decoding).
-func (c *Codec) decodePayload(stream []byte, suspect []bool, want uint16) ([]byte, error) {
-	return c.decodeWithPlans(stream, want, c.legacyPlans(suspect))
-}
-
-// legacyPlans is the single-shot erasure policy: guess every black-suspect
-// byte when the per-message count fits the parity budget (then retry
-// blind), and decode errors-only when there are none or too many. The
-// recovery ladder's rankedPlans subsumes this all-or-nothing drop.
-func (c *Codec) legacyPlans(suspect []bool) planFunc {
-	return func(off, n int) [][]int {
-		if suspect == nil {
-			return [][]int{nil}
-		}
-		var erasures []int
-		for j := 0; j < n; j++ {
-			if suspect[off+j] {
-				erasures = append(erasures, j)
-			}
-		}
-		if len(erasures) == 0 || len(erasures) > c.cfg.RSParity-2 {
-			return [][]int{nil}
-		}
-		// The erasure guesses may themselves be wrong; retry blind.
-		return [][]int{erasures, nil}
-	}
-}
-
-// asmScratch owns the payload-assembly intermediates of the recovery-off
-// hot path: the packed stream and suspect map, the per-message erasure
-// list, the RS working buffers and the assembled payload.
+// asmScratch owns the payload-assembly intermediates: the packed stream
+// and suspect map, the per-message erasure list, the RS working buffers
+// and the assembled payload. Receivers keep one; the one-shot public API
+// assembles on a fresh one.
 type asmScratch struct {
 	stream   []byte
 	suspect  []bool
@@ -213,26 +181,14 @@ type asmScratch struct {
 	rs       rs.Scratch
 }
 
-// assemblePayloadScratch is AssemblePayload drawing every intermediate
-// from as — bit-identical results, no steady-state allocation. The
-// returned payload aliases as.payload: copy it before the next assembly
-// with the same scratch.
-func (c *Codec) assemblePayloadScratch(cells []colorspace.Color, hdr header.Header, as *asmScratch) ([]byte, error) {
-	g := c.cfg.Geometry
-	if len(cells) != len(g.DataCells()) {
-		return nil, fmt.Errorf("core: %d cells, want %d", len(cells), len(g.DataCells()))
-	}
-	as.stream = grow(as.stream, g.DataCapacityBytes())
-	as.suspect = grow(as.suspect, g.DataCapacityBytes())
-	c.packStreamInto(cells, as.stream, as.suspect)
-	return c.decodeLegacyScratch(as.stream, as.suspect, hdr.FrameChecksum, as)
-}
-
-// decodeLegacyScratch is decodePayload's legacy-plan cascade (every
-// black-suspect byte erased when the count fits the parity budget, then a
-// blind retry) inlined over the scratch buffers. Plan order, correction
-// counters and error values match decodeWithPlans(c.legacyPlans(suspect))
-// bit for bit.
+// decodeLegacyScratch is the base assembly pass's RS stage: it reverses
+// encodeStream over the scratch buffers, splitting the data-area stream
+// into RS messages, correcting each, and verifying the header's frame
+// checksum. suspect marks stream bytes containing black-misread cells; a
+// message's suspects are passed to RS as erasures when few enough to help
+// (then retried blind, since the guesses may be wrong), and a message with
+// none or too many decodes errors-only. The recovery ladder's rankedPlans
+// subsumes this all-or-nothing drop.
 func (c *Codec) decodeLegacyScratch(stream []byte, suspect []bool, want uint16, as *asmScratch) ([]byte, error) {
 	endCorrect := c.rec.Span(obsSpanCorrect)
 	var corrected, erased int64
@@ -288,10 +244,11 @@ func (c *Codec) decodeLegacyScratch(stream []byte, suspect []bool, want uint16, 
 	return payload, nil
 }
 
-// decodeWithPlans is the shared RS decode cascade: for each message, try
-// the erasure plans in order until one decodes, then verify the frame
-// checksum over the assembled payload.
-func (c *Codec) decodeWithPlans(stream []byte, want uint16, plans planFunc) ([]byte, error) {
+// decodeWithPlans is the ranked-erasure cascade of the recovery ladder,
+// run on as: for each message, try the erasure plans in order until one
+// decodes, then verify the frame checksum over the assembled payload. The
+// returned payload aliases as.payload.
+func (c *Codec) decodeWithPlans(stream []byte, want uint16, plans planFunc, as *asmScratch) ([]byte, error) {
 	endCorrect := c.rec.Span(obsSpanCorrect)
 	var corrected, erased int64
 	defer func() {
@@ -304,7 +261,7 @@ func (c *Codec) decodeWithPlans(stream []byte, want uint16, plans planFunc) ([]b
 		}
 	}()
 
-	payload := make([]byte, 0, c.capacity)
+	payload := as.payload[:0]
 	off := 0
 	for _, k := range c.msgSizes {
 		n := k + c.cfg.RSParity
@@ -312,7 +269,7 @@ func (c *Codec) decodeWithPlans(stream []byte, want uint16, plans planFunc) ([]b
 		var err error
 		for _, plan := range plans(off, n) {
 			var fixed int
-			data, fixed, err = c.rsc.DecodeCounted(stream[off:off+n], plan)
+			data, fixed, err = c.rsc.DecodeCountedScratch(stream[off:off+n], plan, &as.rs)
 			if err == nil {
 				corrected += int64(fixed)
 				erased += int64(len(plan))
@@ -320,11 +277,14 @@ func (c *Codec) decodeWithPlans(stream []byte, want uint16, plans planFunc) ([]b
 			}
 		}
 		if err != nil {
+			as.payload = payload
 			return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
+		// data aliases the RS scratch; append copies it out.
 		payload = append(payload, data...)
 		off += n
 	}
+	as.payload = payload
 	if crc.Sum16(payload) != want {
 		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBadFrame)
 	}

@@ -25,7 +25,7 @@ type locatorMap struct {
 // columns. The left and right columns are seeded by the corner-tracker
 // centers (the CT center is the first code locator); the middle column's
 // first locator is searched around the midpoint of the two CT centers.
-// With a scratch, the returned locatorMap is scratch-owned.
+// The returned locatorMap is scratch-owned.
 func (c *Codec) locateAll(img *raster.Image, det *detection, sc *decodeScratch) (*locatorMap, error) {
 	return c.locateAllMode(img, det, false, sc)
 }
@@ -39,12 +39,7 @@ func (c *Codec) locateAllMode(img *raster.Image, det *detection, rescue bool, sc
 	cl := colorspace.NewClassifier(det.tv)
 	n := len(c.locRows)
 
-	var lm *locatorMap
-	if sc != nil {
-		lm = &sc.lm
-	} else {
-		lm = &locatorMap{}
-	}
+	lm := &sc.lm
 	lm.left = grow(lm.left, n)
 	lm.leftOK = grow(lm.leftOK, n)
 	lm.right = grow(lm.right, n)

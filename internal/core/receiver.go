@@ -42,13 +42,14 @@ type Receiver struct {
 	ladderAttempts int
 	ladderWins     map[string]int
 
-	// Steady-state scratch: row-attribution planes, the voted-cell buffer
+	// Steady-state scratch: row-attribution planes, the voted soft table
 	// and the payload-assembly intermediates, all reused across captures.
 	// pfFree/dfFree recycle frame accumulators and decoded frames returned
 	// to the pool by Reset.
 	owners    []int
 	weight    []float64
 	voteCells []colorspace.Color
+	voteConf  []float64
 	asm       asmScratch
 	pfFree    []*partialFrame
 	dfFree    []*DecodedFrame
@@ -86,34 +87,22 @@ func (pf *partialFrame) vote(i int, c colorspace.Color, conf, weight float64) {
 	}
 }
 
-// cellsByVoteInto materializes the majority color per cell (White where
-// no votes), writing into dst when its capacity suffices.
-func (pf *partialFrame) cellsByVoteInto(dst []colorspace.Color) []colorspace.Color {
-	out := grow(dst, len(pf.cellVotes))
-	for i := range pf.cellVotes {
-		best := colorspace.White
-		bestW := 0.0
-		for c := 0; c < colorspace.NumDataColors; c++ {
-			if w := pf.cellVotes[i][c]; w > bestW {
-				bestW = w
-				best = colorspace.Color(c)
-			}
-		}
-		out[i] = best
+// cellsByVote materializes the majority color per cell (White where no
+// votes) into cells and, when soft voting is on, a per-cell confidence
+// into conf: the winner's mean classification confidence scaled by its
+// vote share. The vote-share factor is what catches confidently-wrong
+// captures (e.g. splice replays, whose cells classify cleanly): a cell
+// contested between captures scores low even when every individual
+// classification was certain, so the ladder erases contested cells first.
+// Cells with no votes score 0. Both tables reuse the given storage; conf
+// comes back nil when soft voting is off.
+func (pf *partialFrame) cellsByVote(cells []colorspace.Color, conf []float64) ([]colorspace.Color, []float64) {
+	cells = grow(cells, len(pf.cellVotes))
+	if pf.confVotes == nil {
+		conf = nil
+	} else {
+		conf = grow(conf, len(pf.cellVotes))
 	}
-	return out
-}
-
-// cellsByVoteSoft is cellsByVoteInto plus a per-cell confidence: the
-// winner's mean classification confidence scaled by its vote share. The
-// winning color is decided exactly as in cellsByVoteInto. The vote-share
-// factor is what catches confidently-wrong captures (e.g. splice replays,
-// whose cells classify cleanly): a cell contested between captures scores
-// low even when every individual classification was certain, so the
-// ladder erases contested cells first. Cells with no votes score 0.
-func (pf *partialFrame) cellsByVoteSoft() ([]colorspace.Color, []float64) {
-	out := make([]colorspace.Color, len(pf.cellVotes))
-	conf := make([]float64, len(pf.cellVotes))
 	for i := range pf.cellVotes {
 		best := colorspace.White
 		bestW, total := 0.0, 0.0
@@ -125,12 +114,16 @@ func (pf *partialFrame) cellsByVoteSoft() ([]colorspace.Color, []float64) {
 				best = colorspace.Color(c)
 			}
 		}
-		out[i] = best
-		if bestW > 0 && pf.confVotes != nil {
+		cells[i] = best
+		if conf == nil {
+			continue
+		}
+		conf[i] = 0
+		if bestW > 0 {
 			conf[i] = pf.confVotes[i][best] / bestW * (bestW / total)
 		}
 	}
-	return out, conf
+	return cells, conf
 }
 
 func (pf *partialFrame) addHeaderVote(h header.Header) {
@@ -198,21 +191,16 @@ func (rx *Receiver) RecoveryStats() (attempts int, successesByHypothesis map[str
 	return rx.ladderAttempts, out
 }
 
-// assemble runs payload assembly for a partial frame, through the
-// recovery ladder when it is enabled.
-func (rx *Receiver) assemble(pf *partialFrame, hdr header.Header) ([]byte, []colorspace.Color, []float64, error) {
-	if rx.codec.cfg.RecoveryBudget > 0 {
-		cells, conf := pf.cellsByVoteSoft()
-		payload, trace, err := rx.codec.AssemblePayloadSoft(cells, conf, hdr)
-		rx.noteTrace(trace)
-		return payload, cells, conf, err
-	}
-	// Recovery-off hot path: voted cells and every assembly intermediate
-	// come from receiver-owned scratch. The returned payload aliases that
-	// scratch — finish copies it into frame-owned storage.
-	rx.voteCells = pf.cellsByVoteInto(rx.voteCells)
-	payload, err := rx.codec.assemblePayloadScratch(rx.voteCells, hdr, &rx.asm)
-	return payload, nil, nil, err
+// assemble votes a partial frame's soft table into receiver scratch and
+// runs payload assembly on it, through the recovery ladder when it is
+// enabled. The returned payload aliases receiver scratch — finish copies
+// it into frame-owned storage.
+func (rx *Receiver) assemble(pf *partialFrame, hdr header.Header) ([]byte, error) {
+	rx.voteCells, rx.voteConf = pf.cellsByVote(rx.voteCells, rx.voteConf)
+	lad := rx.codec.newLadder()
+	payload, err := rx.codec.assembleWithLadder(rx.voteCells, rx.voteConf, hdr, lad, &rx.asm)
+	rx.noteTrace(lad.result())
+	return payload, err
 }
 
 // Ingest processes one captured image. Captures whose corner trackers
@@ -263,7 +251,7 @@ func (rx *Receiver) IngestBatch(imgs []*raster.Image) []error {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				slots[i].gd, slots[i].err = rx.codec.decodeGridLooseScratch(chunk[i], slots[i].sc)
+				slots[i].gd, slots[i].err = rx.codec.decodeGridLoose(chunk[i], slots[i].sc)
 			}(i)
 		}
 		wg.Wait()
@@ -302,7 +290,7 @@ func (rx *Receiver) Reset() {
 
 func (rx *Receiver) ingest(img *raster.Image) error {
 	sc := getScratch()
-	gd, err := rx.codec.decodeGridLooseScratch(img, sc)
+	gd, err := rx.codec.decodeGridLoose(img, sc)
 	err = rx.ingestDecoded(gd, err)
 	putScratch(sc)
 	return err
@@ -525,10 +513,10 @@ func (rx *Receiver) ingestWholeFrame(gd *GridDecode) {
 	// Without sync there is no notion of "complete": decode immediately,
 	// and let later captures keep voting if this attempt fails.
 	hdr, _ := pf.header()
-	payload, _, _, err := rx.assemble(pf, hdr)
+	payload, err := rx.assemble(pf, hdr)
 	if err == nil {
 		rx.codec.rec.Inc(obs.MCoreFramesDecoded, 1)
-		rx.finish(seq, hdr, payload, nil, nil, nil)
+		rx.finish(seq, hdr, payload, nil)
 		rx.retire(seq, pf)
 	}
 }
@@ -537,41 +525,33 @@ func (rx *Receiver) getPartial(seq uint16) *partialFrame {
 	if pf, ok := rx.partial[seq]; ok {
 		return pf
 	}
-	g := rx.codec.cfg.Geometry
 	var pf *partialFrame
 	if n := len(rx.pfFree); n > 0 {
 		pf = rx.pfFree[n-1]
 		rx.pfFree = rx.pfFree[:n-1]
 		clear(pf.hdrVotes)
-		pf.cellVotes = grow(pf.cellVotes, len(g.DataCells()))
-		clear(pf.cellVotes)
-		pf.rowFilled = grow(pf.rowFilled, g.Rows())
-		clear(pf.rowFilled)
-		if rx.codec.cfg.RecoveryBudget > 0 {
-			pf.confVotes = grow(pf.confVotes, len(g.DataCells()))
-			clear(pf.confVotes)
-		} else {
-			pf.confVotes = nil
-		}
 	} else {
-		pf = &partialFrame{
-			hdrVotes:  make(map[header.Header]int),
-			cellVotes: make([][colorspace.NumDataColors]float64, len(g.DataCells())),
-			rowFilled: make([]bool, g.Rows()),
-		}
-		if rx.codec.cfg.RecoveryBudget > 0 {
-			pf.confVotes = make([][colorspace.NumDataColors]float64, len(g.DataCells()))
-		}
+		pf = &partialFrame{hdrVotes: make(map[header.Header]int)}
+	}
+	g := rx.codec.cfg.Geometry
+	pf.cellVotes = grow(pf.cellVotes, len(g.DataCells()))
+	clear(pf.cellVotes)
+	pf.rowFilled = grow(pf.rowFilled, g.Rows())
+	clear(pf.rowFilled)
+	if rx.codec.cfg.RecoveryBudget > 0 {
+		pf.confVotes = grow(pf.confVotes, len(g.DataCells()))
+		clear(pf.confVotes)
 	}
 	rx.partial[seq] = pf
 	return pf
 }
 
 // finish records seq as decoded, drawing the DecodedFrame from the
-// freelist. payload may alias assembly scratch: it is copied into
-// frame-owned storage. cells and conf are stored only alongside an error
-// (the cross-round soft table; both are frame-owned already).
-func (rx *Receiver) finish(seq uint16, hdr header.Header, payload []byte, cells []colorspace.Color, conf []float64, err error) {
+// freelist and reusing its storage. payload may alias assembly scratch:
+// it is copied into frame-owned storage. On failure with soft voting on,
+// so is the soft table the assembly just voted (the cross-round combining
+// input).
+func (rx *Receiver) finish(seq uint16, hdr header.Header, payload []byte, err error) {
 	var df *DecodedFrame
 	if n := len(rx.dfFree); n > 0 {
 		df = rx.dfFree[n-1]
@@ -579,13 +559,14 @@ func (rx *Receiver) finish(seq uint16, hdr header.Header, payload []byte, cells 
 	} else {
 		df = &DecodedFrame{}
 	}
-	buf := df.Payload
+	buf, cells, conf := df.Payload, df.Cells, df.Conf
 	*df = DecodedFrame{Header: hdr, Err: err}
 	if payload != nil {
 		df.Payload = append(buf[:0], payload...)
 	}
-	if err != nil {
-		df.Cells, df.Conf = cells, conf
+	if err != nil && rx.voteConf != nil {
+		df.Cells = append(cells[:0], rx.voteCells...)
+		df.Conf = append(conf[:0], rx.voteConf...)
 	}
 	rx.done[seq] = df
 }
@@ -617,12 +598,12 @@ func (rx *Receiver) tryComplete(seq uint16) {
 			return
 		}
 	}
-	payload, _, _, err := rx.assemble(pf, hdr)
+	payload, err := rx.assemble(pf, hdr)
 	if err != nil {
 		return
 	}
 	rx.codec.rec.Inc(obs.MCoreFramesDecoded, 1)
-	rx.finish(seq, hdr, payload, nil, nil, nil)
+	rx.finish(seq, hdr, payload, nil)
 	rx.retire(seq, pf)
 }
 
@@ -638,16 +619,15 @@ func (rx *Receiver) Flush() {
 		if _, ok := rx.done[seq]; ok {
 			continue
 		}
-		payload, cells, conf, err := rx.assemble(pf, hdr)
+		payload, err := rx.assemble(pf, hdr)
 		if err == nil {
 			rx.codec.rec.Inc(obs.MCoreFramesDecoded, 1)
 		} else {
 			rx.codec.recordFailure(err)
 		}
-		// On failure the soft table (cells, conf) is kept: the transport can
-		// fuse it with the retransmission round's captures (cross-round
-		// combining).
-		rx.finish(seq, hdr, payload, cells, conf, err)
+		// On failure finish keeps the soft table: the transport can fuse it
+		// with the retransmission round's captures (cross-round combining).
+		rx.finish(seq, hdr, payload, err)
 		rx.retire(seq, pf)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"rainbar/internal/colorspace"
@@ -116,26 +117,30 @@ func (l *ladder) result() *RecoveryTrace {
 // or a nil conf the result is bit-identical to AssemblePayload.
 func (c *Codec) AssemblePayloadSoft(cells []colorspace.Color, conf []float64, hdr header.Header) ([]byte, *RecoveryTrace, error) {
 	lad := c.newLadder()
-	payload, err := c.assembleWithLadder(cells, conf, hdr, lad)
+	payload, err := c.assembleWithLadder(cells, conf, hdr, lad, new(asmScratch))
 	return payload, lad.result(), err
 }
 
-// assembleWithLadder runs the base assembly pass and, on failure, the
-// ranked-erasure hypothesis against the caller's ladder.
-func (c *Codec) assembleWithLadder(cells []colorspace.Color, conf []float64, hdr header.Header, lad *ladder) ([]byte, error) {
-	stream, suspect, err := c.packStream(cells)
-	if err != nil {
-		return nil, err
+// assembleWithLadder runs the base assembly pass on as — pack the cells,
+// RS-decode with the black-suspect erasures, verify the checksum — and,
+// when RS or the checksum fails it, the ranked-erasure hypothesis against
+// the caller's ladder on the same packed stream. A nil conf (recovery
+// off) stops after the base pass. The returned payload aliases
+// as.payload: copy it before the next assembly with the same scratch.
+func (c *Codec) assembleWithLadder(cells []colorspace.Color, conf []float64, hdr header.Header, lad *ladder, as *asmScratch) ([]byte, error) {
+	g := c.cfg.Geometry
+	if len(cells) != len(g.DataCells()) {
+		return nil, fmt.Errorf("core: %d cells, want %d", len(cells), len(g.DataCells()))
 	}
-	payload, err := c.decodePayload(stream, suspect, hdr.FrameChecksum)
-	if err == nil || conf == nil {
+	as.stream = grow(as.stream, g.DataCapacityBytes())
+	as.suspect = grow(as.suspect, g.DataCapacityBytes())
+	c.packStreamInto(cells, as.stream, as.suspect)
+	payload, err := c.decodeLegacyScratch(as.stream, as.suspect, hdr.FrameChecksum, as)
+	if err == nil || conf == nil || !lad.tryAttempt(HypErasures) {
 		return payload, err
 	}
-	if !lad.tryAttempt(HypErasures) {
-		return nil, err
-	}
-	byteConf := byteConfidence(cells, conf, len(stream))
-	payload, err2 := c.decodeWithPlans(stream, hdr.FrameChecksum, c.rankedPlans(suspect, byteConf))
+	byteConf := byteConfidence(cells, conf, len(as.stream))
+	payload, err2 := c.decodeWithPlans(as.stream, hdr.FrameChecksum, c.rankedPlans(as.suspect, byteConf), as)
 	if err2 == nil {
 		lad.win(HypErasures)
 		return payload, nil
@@ -168,9 +173,9 @@ func byteConfidence(cells []colorspace.Color, conf []float64, n int) []float64 {
 	return bc
 }
 
-// rankedPlans extends the legacy erasure policy with confidence-ranked
-// erasure sets, folding in the old all-or-nothing drop: where the legacy
-// path erased either every black-suspect byte or none, the ranked plans
+// rankedPlans extends the base pass's erasure policy with confidence-ranked
+// erasure sets, folding in its all-or-nothing drop: where the base pass
+// erased either every black-suspect byte or none, the ranked plans
 // always erase the message's most doubtful bytes first — the full parity
 // budget's worth, then half of it — before falling back to errors-only
 // decoding. Ties in confidence break by byte position, keeping the plan

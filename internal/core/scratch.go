@@ -8,13 +8,14 @@ import (
 )
 
 // decodeScratch owns every per-capture intermediate of the grid-decode
-// pipeline (T_v samples, blob labeling state, locator columns, the
-// GridDecode and its cell tables), so a steady-state receiver decodes
-// captures without allocating. All pipeline stages accept a nil scratch
-// and then allocate fresh results — that is the public API path
-// (DecodeGridLoose, FixImage, LocateCenters), whose return values must
-// outlive the call. Scratch-backed results are owned by the scratch and
-// valid only until the next decode using the same scratch.
+// pipeline (T_v samples, blob labeling state, locator columns, Sharpness's
+// luma rows, the header strip and two GridDecode slots with their cell
+// tables), so a steady-state receiver decodes captures without
+// allocating. Results are owned by the scratch and valid only until the
+// next decode using it. Receivers draw scratches from scratchPool; the
+// one-shot public API (DecodeGridLoose, DecodeFrame, FixImage,
+// LocateCenters) decodes on a fresh scratch that its results keep alive,
+// and that scratch never enters the pool.
 type decodeScratch struct {
 	// detect
 	tvValues []float64
@@ -24,9 +25,12 @@ type decodeScratch struct {
 	// locate
 	lm locatorMap
 
-	// extract
+	// extract. gd[0] holds the reading a decode returns; the μ-sweeps
+	// re-extract into gd[1], so the reading they compare against stays
+	// intact, and the proactive sweep swaps the slots when it adopts one.
+	luma  []float64
 	strip []colorspace.Color
-	gd    GridDecode
+	gd    [2]GridDecode
 }
 
 // scratchPool recycles decode scratches across receivers and batch decode

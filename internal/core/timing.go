@@ -29,26 +29,25 @@ func (s StageTimings) Total() time.Duration {
 // DecodeFrameTimed is DecodeFrame with a per-stage stopwatch. The timings
 // use the wall clock and are only meaningful relative to each other.
 func (c *Codec) DecodeFrameTimed(img *raster.Image) (payload []byte, timings StageTimings, err error) {
+	sc := new(decodeScratch)
 	t0 := time.Now()
-	det, err := c.detect(img, nil)
+	det, err := c.detect(img, sc)
 	timings.Detect = time.Since(t0)
 	if err != nil {
 		return nil, timings, err
 	}
 
 	t1 := time.Now()
-	lm, err := c.locateAll(img, det, nil)
+	lm, err := c.locateAll(img, det, sc)
 	timings.Locate = time.Since(t1)
 	if err != nil {
 		return nil, timings, err
 	}
 
 	t2 := time.Now()
-	gd, err := c.extractGrid(img, det, lm, img.Sharpness(), nil)
+	gd := &sc.gd[0]
+	c.extractGrid(img, det, lm, img.Sharpness(nil), sc, gd)
 	timings.Extract = time.Since(t2)
-	if err != nil {
-		return nil, timings, err
-	}
 
 	t3 := time.Now()
 	payload, err = c.AssemblePayload(gd.Cells, gd.Header)

@@ -39,7 +39,7 @@ func (c *Codec) DecodeGrid(img *raster.Image) (*GridDecode, error) {
 	gd := &GridDecode{
 		Bits:      make([]byte, len(c.dataCells)),
 		LineSeq:   make(map[int]int, len(c.lineCells)),
-		Sharpness: img.Sharpness(),
+		Sharpness: img.Sharpness(nil),
 	}
 	for i, cell := range c.dataCells {
 		gd.Bits[i] = bitAt(cell)

@@ -18,39 +18,6 @@ import (
 	"rainbar/internal/colorspace"
 )
 
-// floatPool recycles Sharpness's float scratch (two luma rows), keeping
-// it allocation-free in steady state. getFloats returns a slice of length
-// n with undefined contents: callers overwrite every element they read,
-// and pair it with putFloats. boxPool recycles the *[]float64 headers the
-// pool stores, so a get/put round trip is allocation-free after warmup —
-// the naive floatPool.Put(&b) would heap-allocate a fresh header every
-// call.
-var (
-	floatPool sync.Pool
-	boxPool   sync.Pool
-)
-
-func getFloats(n int) []float64 {
-	if box, ok := floatPool.Get().(*[]float64); ok {
-		s := *box
-		*box = nil
-		boxPool.Put(box)
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putFloats(b []float64) {
-	box, ok := boxPool.Get().(*[]float64)
-	if !ok {
-		box = new([]float64)
-	}
-	*box = b
-	floatPool.Put(box)
-}
-
 // imagePool recycles pixel buffers between simulated captures. Buffers
 // enter the pool via Recycle and are reused by New / newUncleared when
 // large enough.
@@ -253,15 +220,19 @@ func (img *Image) MeanFilterAt(x, y int) colorspace.RGB {
 // accumulator, advanced in x order, and the row sums are added in row
 // order, so the result is bit-identical to scoring one row at a time.
 // Only the luma of a block's last row carries over to the next block, in
-// a pooled scratch: steady-state calls do not allocate.
-func (img *Image) Sharpness() float64 {
+// buf's first 2·W elements: a caller that keeps buf calls without
+// allocating. A shorter buf (nil included) is replaced by a fresh one.
+func (img *Image) Sharpness(buf []float64) float64 {
 	w, h := img.W, img.H
 	if w < 2 || h < 2 {
 		return 0
 	}
 	// The carried luma row starts at scratch[off]; the next one is written
 	// to the other half.
-	scratch := getFloats(2 * w)
+	scratch := buf
+	if len(scratch) < 2*w {
+		scratch = make([]float64, 2*w)
+	}
 	off := 0
 	for x, p := range img.Pix[:w] {
 		scratch[x] = luma(p)
@@ -314,7 +285,6 @@ func (img *Image) Sharpness() float64 {
 		total += s
 		off = w - off
 	}
-	putFloats(scratch)
 	return total / float64((w-1)*(h-1))
 }
 

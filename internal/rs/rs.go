@@ -72,17 +72,10 @@ func (c *Codec) Encode(data []byte) ([]byte, error) {
 // to be unreliable; each erasure consumes half the budget of an unknown
 // error, so e erasures and t errors are correctable when 2t + e <= parity.
 // Decode returns ErrTooManyErrors when correction fails or produces an
-// inconsistent codeword.
+// inconsistent codeword. It is DecodeCountedScratch on a fresh Scratch.
 func (c *Codec) Decode(msg []byte, erasures []int) ([]byte, error) {
-	data, _, err := c.DecodeCounted(msg, erasures)
+	data, _, err := c.DecodeCountedScratch(msg, erasures, new(Scratch))
 	return data, err
-}
-
-// DecodeCounted is Decode reporting how many byte positions it corrected
-// (erasure fills included) — the per-message RS load the paper's
-// evaluation tracks. A clean codeword reports zero.
-func (c *Codec) DecodeCounted(msg []byte, erasures []int) (data []byte, corrected int, err error) {
-	return c.DecodeCountedScratch(msg, erasures, nil)
 }
 
 // Scratch holds the reusable buffers of the decode fast path (the working
@@ -94,11 +87,12 @@ type Scratch struct {
 	synd []byte
 }
 
-// DecodeCountedScratch is DecodeCounted drawing its fast-path buffers from
-// sc; a nil sc allocates fresh buffers (identical to DecodeCounted). With
-// a scratch, the returned data slice aliases the scratch's working buffer
-// — it is valid only until the next call using the same scratch, and
-// callers that keep it must copy. Results are bit-identical either way.
+// DecodeCountedScratch is Decode drawing its fast-path buffers from sc and
+// reporting how many byte positions it corrected (erasure fills included)
+// — the per-message RS load the paper's evaluation tracks; a clean
+// codeword reports zero. The returned data slice aliases the scratch's
+// working buffer: it is valid only until the next call using the same
+// scratch, and callers that keep it must copy.
 func (c *Codec) DecodeCountedScratch(msg []byte, erasures []int, sc *Scratch) (data []byte, corrected int, err error) {
 	if len(msg) < c.nparity {
 		return nil, 0, ErrShortMessage
@@ -115,15 +109,9 @@ func (c *Codec) DecodeCountedScratch(msg []byte, erasures []int, sc *Scratch) (d
 		return nil, 0, ErrTooManyErrors
 	}
 
-	var work, synd []byte
-	if sc != nil {
-		sc.work = growBytes(sc.work, len(msg))
-		sc.synd = growBytes(sc.synd, c.nparity)
-		work, synd = sc.work, sc.synd
-	} else {
-		work = make([]byte, len(msg))
-		synd = make([]byte, c.nparity)
-	}
+	sc.work = growBytes(sc.work, len(msg))
+	sc.synd = growBytes(sc.synd, c.nparity)
+	work, synd := sc.work, sc.synd
 	copy(work, msg)
 
 	c.syndromesInto(synd, work)

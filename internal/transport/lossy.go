@@ -2,8 +2,6 @@ package transport
 
 import (
 	"fmt"
-
-	"rainbar/internal/obs"
 )
 
 // Lossy delivery (§V, technical-report cases): unlike text, image and
@@ -83,69 +81,26 @@ func concealChunk(app AppType, size int) []byte {
 
 // TransferLossy is Transfer for loss-tolerant payloads: it runs at most
 // MaxRounds rounds (default 2 — the §V point is that media needs little
-// repair), then conceals the remainder. The error is non-nil only when
-// the manifest never arrives.
+// repair) at the link's display rate, with no frame budget and no
+// cross-round combining, then conceals the remainder. The error is
+// non-nil only when the manifest never arrives or the link fails.
 func (s *Session) TransferLossy(data []byte) ([]byte, *LossyStats, error) {
-	if len(data) == 0 {
-		return nil, nil, fmt.Errorf("transport: empty payload")
-	}
-	if err := s.Link.Validate(); err != nil {
+	x, err := s.begin(data, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	if s.MaxRounds < 0 {
-		return nil, nil, fmt.Errorf("transport: MaxRounds %d is negative; zero means default", s.MaxRounds)
+	if err := x.run(); err != nil {
+		return nil, nil, err
 	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 2
-	}
+	return x.sealLossy()
+}
 
-	fc := FileCodec{Codec: s.Codec}
-	if fc.ChunkSize() <= 0 {
-		return nil, nil, fmt.Errorf("transport: frame capacity %d too small for chunk prefix", s.Codec.FrameCapacity())
-	}
-	nChunks := fc.NumChunks(len(data))
-	missing := make([]int, nChunks)
-	for i := range missing {
-		missing[i] = i
-	}
-	collector := NewCollector()
-	stats := &LossyStats{Stats: Stats{FramesNeeded: nChunks, App: Classify(data)}}
-	faultBase, dropBase := s.faultBaseline()
-	var nextSeq uint16
-
-	s.obsInc(obs.MTransportTransfers, 1)
-	for round := 1; round <= maxRounds && len(missing) > 0; round++ {
-		stats.Rounds = round
-		s.obsInc(obs.MTransportRounds, 1)
-		endRound := obs.OrNop(s.Recorder).Span(obs.MTransportRoundSeconds)
-		sent, airTime, err := s.sendRound(fc, data, missing, &nextSeq, collector, nil, s.Link.DisplayRate, &stats.Stats)
-		endRound()
-		if err != nil {
-			return nil, nil, err
-		}
-		s.obsInc(obs.MTransportFramesSent, int64(sent))
-		if round > 1 {
-			s.obsInc(obs.MTransportRetransmits, int64(sent))
-		}
-		stats.FramesSent += sent
-		stats.AirTime += airTime
-		if stats.RateRounds == nil {
-			stats.RateRounds = make(map[float64]int)
-		}
-		stats.RateRounds[s.Link.DisplayRate]++
-		if m := collector.Missing(); m != nil {
-			missing = m
-		}
-		if collector.Complete() {
-			missing = nil
-		}
-	}
-	stats.FinalDisplayRate = s.Link.DisplayRate
-	stats.ChunksDelivered = nChunks - len(missing)
-	s.faultDelta(&stats.Stats, faultBase, dropBase)
-
-	result, _, report, err := collector.FileWithConcealment()
+// sealLossy finishes a lossy transfer: it freezes the stats as Seal does,
+// then reassembles the payload with every missing chunk concealed.
+func (x *Xfer) sealLossy() ([]byte, *LossyStats, error) {
+	x.freeze()
+	stats := &LossyStats{Stats: *x.stats}
+	result, _, report, err := x.collector.FileWithConcealment()
 	if err != nil {
 		return nil, stats, err
 	}

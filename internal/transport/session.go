@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -175,9 +176,19 @@ type plan struct {
 	budget    int
 }
 
-func (s *Session) plan(nChunks int) (plan, error) {
+// plan resolves the knobs for a reliable transfer or, when lossy, for a
+// loss-tolerant one: at most MaxRounds rounds (default 2) at the link rate
+// (a floor at the link rate never falls back) and no frame budget.
+func (s *Session) plan(nChunks int, lossy bool) (plan, error) {
 	if s.MaxRounds < 0 {
 		return plan{}, fmt.Errorf("transport: MaxRounds %d is negative; zero means default", s.MaxRounds)
+	}
+	if lossy {
+		p := plan{maxRounds: s.MaxRounds, minRate: s.Link.DisplayRate, budget: math.MaxInt}
+		if p.maxRounds == 0 {
+			p.maxRounds = 2
+		}
+		return p, nil
 	}
 	p := plan{maxRounds: s.MaxRounds, minRate: s.MinDisplayRate, stallN: s.StallRounds, budget: s.FrameBudget}
 	if p.maxRounds == 0 {
@@ -207,14 +218,8 @@ func (s *Session) Transfer(data []byte) ([]byte, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for {
-		done, err := x.Step()
-		if err != nil {
-			return nil, nil, err
-		}
-		if done {
-			break
-		}
+	if err := x.run(); err != nil {
+		return nil, nil, err
 	}
 	return x.Seal()
 }

@@ -38,6 +38,13 @@ type Xfer struct {
 // before its first round. It performs exactly the setup Transfer used to:
 // Transfer(data) is equivalent to Begin + Step until done + Seal.
 func (s *Session) Begin(data []byte) (*Xfer, error) {
+	return s.begin(data, false)
+}
+
+// begin is Begin for a reliable (lossy false) or loss-tolerant transfer;
+// the two differ only in their plan and in combining, which a lossy
+// transfer never does.
+func (s *Session) begin(data []byte, lossy bool) (*Xfer, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("transport: empty payload")
 	}
@@ -49,7 +56,7 @@ func (s *Session) Begin(data []byte) (*Xfer, error) {
 		return nil, fmt.Errorf("transport: frame capacity %d too small for chunk prefix", s.Codec.FrameCapacity())
 	}
 	nChunks := fc.NumChunks(len(data))
-	p, err := s.plan(nChunks)
+	p, err := s.plan(nChunks, lossy)
 	if err != nil {
 		return nil, err
 	}
@@ -68,11 +75,21 @@ func (s *Session) Begin(data []byte) (*Xfer, error) {
 		stats:     &Stats{FramesNeeded: nChunks, App: Classify(data)},
 		rate:      s.Link.DisplayRate,
 	}
-	if s.Combine {
+	if s.Combine && !lossy {
 		x.comb = newCombiner()
 	}
 	s.obsInc(obs.MTransportTransfers, 1)
 	return x, nil
+}
+
+// run steps the transfer until no further round will run.
+func (x *Xfer) run() error {
+	for {
+		done, err := x.Step()
+		if err != nil || done {
+			return err
+		}
+	}
 }
 
 // exhausted reports whether another round may run: it mirrors the historic
@@ -164,9 +181,7 @@ func (x *Xfer) Step() (done bool, err error) {
 // counts into Stats and reassembles the payload, exactly as the historic
 // Transfer epilogue did. After Seal the transfer cannot be stepped.
 func (x *Xfer) Seal() ([]byte, *Stats, error) {
-	x.sealed = true
-	x.stats.FinalDisplayRate = x.rate
-	x.stats.ChunksDelivered = x.nChunks - len(x.missing)
+	x.freeze()
 	if len(x.missing) > 0 {
 		return nil, x.stats, fmt.Errorf("transport: %d/%d chunks undelivered after %d rounds (%d/%d frame budget)",
 			len(x.missing), x.nChunks, x.stats.Rounds, x.stats.FramesSent, x.p.budget)
@@ -182,6 +197,13 @@ func (x *Xfer) Seal() ([]byte, *Stats, error) {
 		x.stats.Goodput = float64(len(result)) / x.stats.AirTime.Seconds()
 	}
 	return result, x.stats, nil
+}
+
+// freeze seals the transfer and records its final rate and delivery count.
+func (x *Xfer) freeze() {
+	x.sealed = true
+	x.stats.FinalDisplayRate = x.rate
+	x.stats.ChunksDelivered = x.nChunks - len(x.missing)
 }
 
 // Round returns the number of completed display rounds.
